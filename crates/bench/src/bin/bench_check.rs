@@ -12,9 +12,9 @@
 //! * gc: indexed victim selection >= [`GC_SPEEDUP_MIN`]x the legacy scan on
 //!   both FTLs, and the trace-replay victim sequences byte-identical.
 //! * latency: zero-copy never slower than the copying payload path.
-//! * mount: checkpoint+tail remount >= [`MOUNT_SPEEDUP_MIN`]x the serial
-//!   full scan at 90 % utilization (both arms measured on the same host in
-//!   the same run, so the ratio is noise-resistant).
+//! * mount: a full-scan remount issues >= [`MOUNT_SPEEDUP_MIN`]x the NAND
+//!   reads of a checkpoint+tail remount at 90 % utilization (read counts
+//!   are deterministic, so the ratio carries no host noise).
 //! * multitenant: the shard curve is present and strictly increasing.
 //! * steady: incremental GC + erase-suspend cuts the foreground write p99
 //!   by >= [`STEADY_P99_RATIO_MIN`]x vs blocking GC, with throughput no
@@ -255,40 +255,40 @@ fn check_mount(doc: &Value, errors: &mut Vec<Violation>) {
     let Some(rows) = need_array(doc, "rows", name, errors) else {
         return;
     };
-    let ms_at = |arm: &str, util: f64| -> Option<f64> {
+    let reads_at = |arm: &str, util: f64| -> Option<f64> {
         rows.iter()
             .find(|r| {
                 get(r, "arm").and_then(as_str) == Some(arm)
                     && get(r, "utilization").and_then(as_f64) == Some(util)
             })
-            .and_then(|r| get(r, "mount_ms"))
+            .and_then(|r| get(r, "nand_reads"))
             .and_then(as_f64)
     };
     for (i, r) in rows.iter().enumerate() {
-        for field in ["utilization", "mount_ms", "records_per_sec"] {
+        for field in ["utilization", "mount_ms", "records_per_sec", "nand_reads"] {
             need_f64(r, field, &format!("{name} rows.{i}"), errors);
         }
         if get(r, "arm").and_then(as_str).is_none() {
             errors.push(Violation(name.into(), format!("rows.{i}: missing `arm`")));
         }
     }
-    match (ms_at("serial", 0.9), ms_at("ckpt_tail", 0.9)) {
-        (Some(serial), Some(ckpt)) if ckpt > 0.0 => {
-            let ratio = serial / ckpt;
+    match (reads_at("full", 0.9), reads_at("ckpt_tail", 0.9)) {
+        (Some(full), Some(ckpt)) if ckpt > 0.0 => {
+            let ratio = full / ckpt;
             if ratio < MOUNT_SPEEDUP_MIN {
                 errors.push(Violation(
                     name.into(),
                     format!(
-                        "checkpoint+tail remount only {ratio:.1}x the serial scan at 0.9 \
-                         utilization ({ckpt:.1} ms vs {serial:.1} ms) — floor is \
-                         {MOUNT_SPEEDUP_MIN}x"
+                        "checkpoint+tail remount reads only {ratio:.1}x fewer NAND pages \
+                         than the full scan at 0.9 utilization ({ckpt} vs {full}) — floor \
+                         is {MOUNT_SPEEDUP_MIN}x"
                     ),
                 ));
             }
         }
         _ => errors.push(Violation(
             name.into(),
-            "missing serial and/or ckpt_tail rows at 0.9 utilization".into(),
+            "missing full and/or ckpt_tail rows (with nand_reads) at 0.9 utilization".into(),
         )),
     }
 }

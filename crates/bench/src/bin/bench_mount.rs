@@ -1,6 +1,6 @@
-//! Machine-readable mount-time benchmark: serial full scan vs parallel
-//! sharded scan vs checkpoint+tail remount on a realistic 8192-block drive
-//! at increasing utilization.
+//! Machine-readable mount-time benchmark: full spare-area scan vs
+//! checkpoint+tail remount on a realistic 8192-block drive at increasing
+//! utilization.
 //!
 //! For each (arm, utilization) pair a fresh [`InsiderFtl`] is prefilled
 //! (seeded-shuffled cold fill, as in [`insider_bench::prefill_ftl`]), then
@@ -10,15 +10,13 @@
 //! the minimum is the least-noise estimator of the algorithmic cost (the
 //! host shows multi-x scheduling/page-fault spikes, and earlier
 //! single-shot numbers were non-monotonic across utilizations purely from
-//! that noise). Results land in
-//! `BENCH_mount.json`; `bench_check` diffs the headline ratios across
-//! commits.
+//! that noise). Each row also records `nand_reads`, the device read count
+//! of one mount: the deterministic cost `bench_check` gates on. Results
+//! land in `BENCH_mount.json`.
 //!
 //! Arms:
-//! * `serial` — the paper's baseline: one thread walks every page's OOB.
-//! * `parallel` — the scan sharded across `MOUNT_THREADS` workers
-//!   (default: available parallelism). On a single-core host this mostly
-//!   measures the bulk-scan path, not real concurrency.
+//! * `full` — every spare area, scanned in one bulk pass sharded across
+//!   the available cores.
 //! * `ckpt_tail` — load the newest checkpoint and scan only the OOB tail
 //!   written since (`CKPT_INTERVAL` pages between checkpoints, default
 //!   65536). The win here is algorithmic — pages *not* scanned — so it
@@ -59,16 +57,12 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_mount.json".into());
     let geometry = mount_geometry();
-    let threads = env_u64("MOUNT_THREADS", 0) as usize;
     let ckpt_interval = env_u64("CKPT_INTERVAL", 65_536).max(1);
-    let arms: [(&str, FtlConfig); 3] = [
-        ("serial", FtlConfig::new(geometry).mount_threads(1)),
-        ("parallel", FtlConfig::new(geometry).mount_threads(threads)),
+    let arms: [(&str, FtlConfig); 2] = [
+        ("full", FtlConfig::new(geometry)),
         (
             "ckpt_tail",
-            FtlConfig::new(geometry)
-                .mount_threads(threads)
-                .checkpoint_interval(ckpt_interval),
+            FtlConfig::new(geometry).checkpoint_interval(ckpt_interval),
         ),
     ];
 
@@ -85,11 +79,14 @@ fn main() {
             ftl.power_cut(SimTime::from_secs(3600))
                 .expect("warmup remount failed");
             let mut runs_ms = Vec::with_capacity(MEASURED_MOUNTS);
+            let mut nand_reads = 0;
             for _ in 0..MEASURED_MOUNTS {
+                let reads_before = ftl.nand_stats().reads;
                 let started = Instant::now();
                 ftl.power_cut(SimTime::from_secs(3600))
                     .expect("remount failed");
                 runs_ms.push(started.elapsed().as_secs_f64() * 1e3);
+                nand_reads = ftl.nand_stats().reads - reads_before;
             }
             let best_ms = runs_ms.iter().copied().fold(f64::INFINITY, f64::min);
 
@@ -97,17 +94,18 @@ fn main() {
             let per_sec = scanned as f64 / (best_ms / 1e3);
             println!(
                 "{arm:>9} @ {utilization:.2}: {live_pages} live pages, \
-                 {scanned} OOB records, best {best_ms:.1} ms ({per_sec:.0}/s)"
+                 {scanned} OOB records, {nand_reads} NAND reads, \
+                 best {best_ms:.1} ms ({per_sec:.0}/s)"
             );
             rows.push(json!({
                 "arm": arm,
                 "utilization": utilization,
                 "live_pages": live_pages,
                 "scanned_oob_records": scanned,
+                "nand_reads": nand_reads,
                 "mount_ms": best_ms,
                 "mount_ms_runs": runs_ms,
                 "records_per_sec": per_sec,
-                "threads": if *arm == "serial" { 1 } else { threads },
                 "checkpoint_interval": if *arm == "ckpt_tail" {
                     Some(ckpt_interval)
                 } else {

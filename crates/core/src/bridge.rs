@@ -59,11 +59,6 @@ impl FsBridge {
         &mut self.device
     }
 
-    /// Unwraps the device.
-    pub fn into_device(self) -> SsdInsider {
-        self.device
-    }
-
     /// Wraps the bridge in a write-back buffer cache of `capacity` blocks.
     /// Remember to [`flush`](BlockCache::flush) before durability points —
     /// unflushed writes are DRAM-only and will not survive a power cut.

@@ -233,13 +233,6 @@ impl MultiTenantSsd {
         Ok(())
     }
 
-    /// [`poll`](Self::poll) for every namespace.
-    pub fn poll_all(&self, now: SimTime) {
-        for id in 0..self.namespaces() {
-            let _ = self.poll(NamespaceId::new(id), now);
-        }
-    }
-
     /// Lifecycle state of namespace `ns` — alarm and read-only domains are
     /// per namespace.
     ///

@@ -86,11 +86,6 @@ impl TrainingSet {
         }
     }
 
-    /// Appends pre-computed samples.
-    pub fn add_samples(&mut self, samples: impl IntoIterator<Item = Sample>) {
-        self.samples.extend(samples);
-    }
-
     /// The collected samples.
     pub fn samples(&self) -> &[Sample] {
         &self.samples

@@ -1045,7 +1045,7 @@ impl FtlBase {
         let copies_before = self.stats.gc_page_copies;
         let pause_before = self.device.parallel_busy_ns();
         self.device.set_gc_context(true);
-        let result = self.gc_until(target, need, copies_before, queue);
+        let result = self.gc_until(target, queue);
         self.device.set_gc_context(false);
         // Blocking drains occupy the single-threaded firmware: no host
         // command is serviced until the drain's last command lands.
@@ -1082,9 +1082,9 @@ impl FtlBase {
     /// while the pool is still above the blocking trigger — so steady state
     /// pays many small pauses instead of rare multi-block stalls.
     ///
-    /// Safety valve: if the pool still reaches the hard floor (`need + 1`
-    /// blocks, the same floor the blocking collector's budget early-out
-    /// honors), the engine falls back to a stop-the-world
+    /// Safety valve: if the pool still sinks below the hard floor
+    /// (`need + 1` blocks: the triggering write plus one block of
+    /// compaction headroom), the engine falls back to a stop-the-world
     /// [`gc_until`](Self::gc_until) drain so the triggering write cannot
     /// starve; `FtlStats::gc_stw_fallbacks` counts how often that fired.
     pub fn gc_maintain(&mut self, pages: u64, mut queue: Option<&mut RecoveryQueue>) -> Result<()> {
@@ -1109,7 +1109,7 @@ impl FtlBase {
             self.stats.gc_stw_fallbacks += 1;
             result = self
                 .gc_drain_job(queue.as_deref_mut())
-                .and_then(|()| self.gc_until(target, need, copies_before, queue));
+                .and_then(|()| self.gc_until(target, queue));
             let horizon = self.device.gc_horizon_ns();
             self.device.stall_host_until(horizon);
         }
@@ -1276,41 +1276,17 @@ impl FtlBase {
         KindLatency::from_histogram(&self.gc_pause_hist)
     }
 
-    /// Collects until `target` free blocks are available, honoring the
-    /// per-invocation migration budget: once the budget is spent, collection
-    /// stops as soon as the *hard* floor — `need` blocks for the triggering
-    /// write plus one so GC keeps compaction headroom — is met, and wear
-    /// leveling is skipped. The budget is checked between victims, so an
-    /// invocation overshoots by at most one block's worth of migrations.
-    fn gc_until(
-        &mut self,
-        target: usize,
-        need: usize,
-        copies_before: u64,
-        mut queue: Option<&mut RecoveryQueue>,
-    ) -> Result<()> {
-        let hard = need + 1;
-        let budget = self.config.gc_migration_budget_pages();
+    /// Collects until `target` free blocks are available, then gives wear
+    /// leveling its turn.
+    fn gc_until(&mut self, target: usize, mut queue: Option<&mut RecoveryQueue>) -> Result<()> {
         while self.free_count < target {
-            let spent = self.stats.gc_page_copies - copies_before;
-            if self.free_count >= hard && budget.is_some_and(|b| spent >= b) {
-                return Ok(());
-            }
             self.collect_once(queue.as_deref_mut())?;
-        }
-        let spent = self.stats.gc_page_copies - copies_before;
-        if budget.is_some_and(|b| spent >= b) {
-            return Ok(());
         }
         self.maybe_wear_level(queue.as_deref_mut())?;
         // A wear-level victim hitting its endurance limit consumes
         // migration pages without returning a block; top the reserve
         // back up so the caller's write cannot starve.
         while self.free_count < target {
-            let spent = self.stats.gc_page_copies - copies_before;
-            if self.free_count >= hard && budget.is_some_and(|b| spent >= b) {
-                return Ok(());
-            }
             self.collect_once(queue.as_deref_mut())?;
         }
         Ok(())
@@ -1731,168 +1707,67 @@ impl FtlBase {
         self.note_protected(ppa);
     }
 
-    /// Rebuilds the mount-scan inputs — per-LBA record chains, per-block
-    /// programmed watermarks and per-block minimum sequence numbers — by
-    /// the cheapest means available:
+    /// Rebuilds the mount-scan inputs — the flat record list in canonical
+    /// mount order (logical page, then `(stamp, seq)`, oldest version
+    /// first), per-block programmed watermarks and per-block minimum
+    /// sequence numbers — with one sharded spare-area scan
+    /// ([`NandDevice::scan_oob`], one worker per available core):
     ///
     /// 1. **Checkpoint + tail**: when checkpointing is configured and a
     ///    slot holds a valid (CRC-checked) checkpoint, only the OOB records
     ///    programmed *after* the checkpoint are scanned; blocks erased
     ///    since (erase-count mismatch) are rescanned in full and their
-    ///    checkpointed records dropped. The merge is order-independent —
-    ///    chains are sets keyed by unique sequence numbers — so shard
-    ///    results and checkpointed records combine with a plain fold.
-    /// 2. **Sharded bulk scan** (`mount_threads != 1`): the device walks
-    ///    every spare area across one `std::thread::scope` shard per
-    ///    contiguous block range and the results are folded in block order.
-    /// 3. **Legacy serial scan** (`mount_threads == 1`, the default): one
-    ///    charged `read_oob` per programmed page — byte-identical in cost
-    ///    accounting to the historical mount path.
+    ///    checkpointed records dropped.
+    /// 2. **Full scan** otherwise: every spare area, one global sort.
+    ///
+    /// Either way the scan is charged in bulk to the device's `NandStats`
+    /// only — a mount runs before the host queue exists, so no mount read
+    /// reaches the command scheduler or the host latency histograms.
     ///
     /// Debug builds verify path 1 against a free full-device scan: merged
     /// records must all exist on flash, per-LBA mount winners and the
     /// per-block watermark/min-seq vectors must match exactly.
-    #[allow(clippy::type_complexity)]
-    /// Flattens per-LBA chain groups into the canonical mount order:
-    /// sorted by logical page, then `(stamp, seq)` — oldest version first —
-    /// within each page's run.
-    fn flatten_chains(chains: BTreeMap<Lba, Vec<ScanPage>>) -> Vec<(Lba, ScanPage)> {
-        let total: usize = chains.values().map(Vec::len).sum();
-        let mut flat = Vec::with_capacity(total);
-        for (lba, mut chain) in chains {
-            chain.sort_by_key(|p| (p.stamp, p.seq));
-            flat.extend(chain.into_iter().map(|p| (lba, p)));
-        }
-        flat
-    }
-
     fn mount_scan(&mut self) -> Result<MountScan> {
         let g = *self.config.geometry();
         let total_blocks = g.total_blocks() as usize;
-        let ppb = g.pages_per_block();
-        let threads = match self.config.mount_threads_count() {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        };
-
-        // Path 1: checkpoint + OOB tail. The merge stays flat — one
-        // near-sorted global sort instead of hundreds of thousands of
-        // per-LBA container insertions; this is where the <50 ms remount
-        // target is won or lost.
-        if self.config.checkpoint_interval_pages().is_some()
+        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let ckpt = if self.config.checkpoint_interval_pages().is_some()
             && self.config.mount_from_checkpoint_enabled()
         {
-            if let Some(ckpt) = self.load_checkpoint(total_blocks) {
-                let baseline: Vec<ScanBaseline> = ckpt
-                    .blocks
-                    .iter()
-                    .map(|b| ScanBaseline {
-                        erase_count: b.erase_count,
-                        programmed: b.programmed,
-                    })
-                    .collect();
-                let report = self.device.scan_oob(Some(&baseline), threads)?;
-                let rescanned: Vec<bool> = report.blocks.iter().map(|b| b.rescanned).collect();
-                let tail: usize = report.blocks.iter().map(|b| b.records.len()).sum();
-                // Checkpointed records survive unless their block was
-                // recycled — flash is the truth for rescanned blocks. The
-                // filter preserves the checkpoint's canonical order.
-                let mut kept = ckpt.records;
-                kept.retain(|(_, p)| !rescanned[p.ppa.block(&g).index() as usize]);
-                let mut programmed = vec![0u32; total_blocks];
-                let mut min_seq: Vec<Option<u64>> = (0..total_blocks)
-                    .map(|i| {
-                        if rescanned[i] {
-                            None
-                        } else {
-                            ckpt.blocks[i].min_seq
-                        }
-                    })
-                    .collect();
-                let mut tail_recs = Vec::with_capacity(tail);
-                for (i, block) in report.blocks.iter().enumerate() {
-                    programmed[i] = block.scanned_to;
-                    for &(offset, rec) in &block.records {
-                        let slot = &mut min_seq[i];
-                        *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                        tail_recs.push((
-                            rec.lba,
-                            ScanPage {
-                                ppa: Pba::new(i as u32).page(&g, offset),
-                                seq: rec.seq,
-                                stamp: rec.stamp,
-                                live: rec.live,
-                            },
-                        ));
-                    }
-                }
-                // The checkpoint is already in canonical order (the encoder
-                // writes filter_chains output), so only the tail needs
-                // sorting; the result is a linear two-way merge instead of
-                // a global re-sort of the whole record set.
-                let key = |e: &(Lba, ScanPage)| (e.0.index(), e.1.stamp, e.1.seq);
-                debug_assert!(kept.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
-                tail_recs.sort_unstable_by_key(key);
-                let mut flat = Vec::with_capacity(kept.len() + tail_recs.len());
-                let (mut a, mut b) = (0, 0);
-                while a < kept.len() && b < tail_recs.len() {
-                    if key(&kept[a]) <= key(&tail_recs[b]) {
-                        flat.push(kept[a]);
-                        a += 1;
-                    } else {
-                        flat.push(tail_recs[b]);
-                        b += 1;
-                    }
-                }
-                flat.extend_from_slice(&kept[a..]);
-                flat.extend_from_slice(&tail_recs[b..]);
-                #[cfg(debug_assertions)]
-                self.verify_checkpoint_merge(&flat, &programmed, &min_seq);
-                return Ok((flat, programmed, min_seq));
-            }
-        }
-
-        // Path 3: the legacy serial scan, one charged spare-area read per
-        // programmed page — the reference cost model, container and all.
-        if threads == 1 {
-            let mut chains: BTreeMap<Lba, Vec<ScanPage>> = BTreeMap::new();
-            let mut programmed = vec![0u32; total_blocks];
-            let mut min_seq: Vec<Option<u64>> = vec![None; total_blocks];
-            for raw in 0..total_blocks as u32 {
-                let pba = Pba::new(raw);
-                let count = self.device.block(pba)?.write_ptr().unwrap_or(ppb);
-                programmed[raw as usize] = count;
-                for off in 0..count {
-                    let ppa = pba.page(&g, off);
-                    let Some(rec) = self.device.read_oob(ppa)? else {
-                        continue; // untagged page: invisible to recovery
-                    };
-                    let slot = &mut min_seq[raw as usize];
-                    *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                    chains.entry(rec.lba).or_default().push(ScanPage {
-                        ppa,
-                        seq: rec.seq,
-                        stamp: rec.stamp,
-                        live: rec.live,
-                    });
-                }
-            }
-            return Ok((Self::flatten_chains(chains), programmed, min_seq));
-        }
-
-        // Path 2: sharded bulk scan, bulk-charged by the device; flat
-        // collect plus one global sort.
-        let report = self.device.scan_oob(None, threads)?;
-        let total: usize = report.blocks.iter().map(|b| b.records.len()).sum();
-        let mut flat = Vec::with_capacity(total);
+            self.load_checkpoint(total_blocks)
+        } else {
+            None
+        };
+        let baseline: Option<Vec<ScanBaseline>> = ckpt.as_ref().map(|c| {
+            c.blocks
+                .iter()
+                .map(|b| ScanBaseline {
+                    erase_count: b.erase_count,
+                    programmed: b.programmed,
+                })
+                .collect()
+        });
+        let report = self.device.scan_oob(baseline.as_deref(), threads)?;
         let mut programmed = vec![0u32; total_blocks];
-        let mut min_seq: Vec<Option<u64>> = vec![None; total_blocks];
+        // Checkpointed minima survive unless their block was recycled —
+        // flash is the truth for rescanned blocks.
+        let mut min_seq: Vec<Option<u64>> = match &ckpt {
+            Some(c) => c
+                .blocks
+                .iter()
+                .zip(&report.blocks)
+                .map(|(meta, scan)| if scan.rescanned { None } else { meta.min_seq })
+                .collect(),
+            None => vec![None; total_blocks],
+        };
+        let total: usize = report.blocks.iter().map(|b| b.records.len()).sum();
+        let mut scanned = Vec::with_capacity(total);
         for (i, block) in report.blocks.iter().enumerate() {
             programmed[i] = block.scanned_to;
             for &(offset, rec) in &block.records {
                 let slot = &mut min_seq[i];
                 *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                flat.push((
+                scanned.push((
                     rec.lba,
                     ScanPage {
                         ppa: Pba::new(i as u32).page(&g, offset),
@@ -1903,7 +1778,35 @@ impl FtlBase {
                 ));
             }
         }
-        flat.sort_unstable_by_key(|(lba, p)| (lba.index(), p.stamp, p.seq));
+        let key = |e: &(Lba, ScanPage)| (e.0.index(), e.1.stamp, e.1.seq);
+        scanned.sort_unstable_by_key(key);
+        let Some(ckpt) = ckpt else {
+            return Ok((scanned, programmed, min_seq));
+        };
+
+        // Checkpointed records survive unless their block was recycled.
+        // The checkpoint is already in canonical order (the encoder writes
+        // filter_chains output) and the filter preserves it, so the merge
+        // with the sorted tail is linear — this is where the <50 ms remount
+        // target is won or lost.
+        let mut kept = ckpt.records;
+        kept.retain(|(_, p)| !report.blocks[p.ppa.block(&g).index() as usize].rescanned);
+        debug_assert!(kept.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+        let mut flat = Vec::with_capacity(kept.len() + scanned.len());
+        let (mut a, mut b) = (0, 0);
+        while a < kept.len() && b < scanned.len() {
+            if key(&kept[a]) <= key(&scanned[b]) {
+                flat.push(kept[a]);
+                a += 1;
+            } else {
+                flat.push(scanned[b]);
+                b += 1;
+            }
+        }
+        flat.extend_from_slice(&kept[a..]);
+        flat.extend_from_slice(&scanned[b..]);
+        #[cfg(debug_assertions)]
+        self.verify_checkpoint_merge(&flat, &programmed, &min_seq);
         Ok((flat, programmed, min_seq))
     }
 
@@ -2114,7 +2017,7 @@ impl FtlBase {
         self.gc_job = None;
 
         // Rebuild the scan inputs — checkpoint + OOB tail when a valid
-        // checkpoint exists, a full (serial or sharded) scan otherwise.
+        // checkpoint exists, a full scan otherwise.
         let (chains, programmed, min_seq) = self.mount_scan()?;
         self.mount_scan_entries = chains.len() as u64;
 
@@ -2464,24 +2367,7 @@ mod tests {
     }
 
     #[test]
-    fn migration_budget_bounds_per_invocation_copies() {
-        let budget = 4u64;
-        let mut b = FtlBase::new(FtlConfig::new(Geometry::tiny()).gc_migration_budget(budget));
-        churn(&mut b, 16 * 16 * 4);
-        assert!(b.stats.gc_invocations > 0);
-        assert!(b.stats.gc_page_copies > 0, "victims must carry live pages");
-        // The cap is checked between victims, so a single invocation can
-        // overshoot by at most one block's worth of pages.
-        let ppb = 16u64;
-        assert!(
-            b.stats.gc_migrations_max <= budget + ppb,
-            "max per-invocation migrations {} exceeded budget {budget} + one block",
-            b.stats.gc_migrations_max
-        );
-    }
-
-    #[test]
-    fn unbudgeted_gc_restores_full_reserve() {
+    fn gc_restores_full_reserve() {
         let mut b = base();
         churn(&mut b, 16 * 16 * 2);
         b.gc_for_extent(0, None).unwrap();

@@ -39,6 +39,9 @@ impl std::fmt::Display for GcPolicy {
     }
 }
 
+/// Free blocks garbage collection keeps in reserve.
+const GC_RESERVE_BLOCKS: u32 = 2;
+
 /// Configuration shared by both FTL variants.
 ///
 /// # Example
@@ -56,16 +59,13 @@ impl std::fmt::Display for GcPolicy {
 pub struct FtlConfig {
     nand: NandConfig,
     over_provisioning: f64,
-    gc_reserve_blocks: u32,
     protection_window: SimTime,
     gc_policy: GcPolicy,
     wear_leveling_threshold: Option<u32>,
     gc_victim_index: bool,
-    gc_migration_budget: Option<u64>,
     record_gc_victims: bool,
     copy_payloads: bool,
     checkpoint_interval: Option<u64>,
-    mount_threads: usize,
     mount_from_checkpoint: bool,
     incremental_gc: bool,
     gc_low_water_extra: u32,
@@ -87,16 +87,13 @@ impl FtlConfig {
         FtlConfig {
             nand,
             over_provisioning: 0.07,
-            gc_reserve_blocks: 2,
             protection_window: SimTime::from_secs(10),
             gc_policy: GcPolicy::Greedy,
             wear_leveling_threshold: None,
             gc_victim_index: true,
-            gc_migration_budget: None,
             record_gc_victims: false,
             copy_payloads: false,
             checkpoint_interval: None,
-            mount_threads: 1,
             mount_from_checkpoint: true,
             incremental_gc: false,
             gc_low_water_extra: 2,
@@ -118,17 +115,6 @@ impl FtlConfig {
             "over-provisioning ratio must be in [0, 1)"
         );
         self.over_provisioning = ratio;
-        self
-    }
-
-    /// Sets how many free blocks garbage collection keeps in reserve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks` is zero.
-    pub fn gc_reserve_blocks(mut self, blocks: u32) -> Self {
-        assert!(blocks >= 1, "gc reserve must be at least one block");
-        self.gc_reserve_blocks = blocks;
         self
     }
 
@@ -185,31 +171,6 @@ impl FtlConfig {
         self.gc_victim_index
     }
 
-    /// Caps the pages a single GC invocation may migrate
-    /// (`max_migrations_per_invocation`). Once the cap is hit, collection
-    /// stops as soon as the *hard* floor — enough free blocks for the
-    /// triggering write — is met, deferring the rest of the reclamation to
-    /// later invocations so one extent write cannot absorb an unbounded
-    /// migration storm. Wear leveling is skipped in invocations that
-    /// exhaust the cap. Unlimited by default.
-    ///
-    /// The cap is checked between victims, so an invocation can overshoot
-    /// by at most one block's worth of pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages` is zero.
-    pub fn gc_migration_budget(mut self, pages: u64) -> Self {
-        assert!(pages >= 1, "gc migration budget must be at least one page");
-        self.gc_migration_budget = Some(pages);
-        self
-    }
-
-    /// The per-invocation GC migration cap, if one is set.
-    pub fn gc_migration_budget_pages(&self) -> Option<u64> {
-        self.gc_migration_budget
-    }
-
     /// Records every GC and wear-leveling victim in an in-memory log
     /// (see `gc_victims` on the FTLs). Off by default; the differential
     /// oracle tests and the GC benchmark turn it on to prove the indexed
@@ -231,17 +192,6 @@ impl FtlConfig {
     /// mutations on the same die when no dependency forbids it.
     pub fn scheduler(mut self, mode: SchedMode) -> Self {
         self.nand = self.nand.scheduler(mode);
-        self
-    }
-
-    /// Caps the simulated host queue depth used by the command scheduler's
-    /// closed-loop throttle (default 32).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.nand = self.nand.queue_depth(depth);
         self
     }
 
@@ -287,22 +237,6 @@ impl FtlConfig {
     /// The checkpoint trigger interval in host page writes, if enabled.
     pub fn checkpoint_interval_pages(&self) -> Option<u64> {
         self.checkpoint_interval
-    }
-
-    /// Sets how many threads the mount-time OOB scan shards across.
-    /// `1` (the default) keeps the legacy serial scan — every spare-area
-    /// read individually charged through the command path; `0` picks the
-    /// host's available parallelism; any other value shards the scan into
-    /// that many contiguous block ranges with bulk charging. All settings
-    /// produce identical mounted state.
-    pub fn mount_threads(mut self, threads: usize) -> Self {
-        self.mount_threads = threads;
-        self
-    }
-
-    /// The configured mount scan thread count (`1` = legacy serial).
-    pub fn mount_threads_count(&self) -> usize {
-        self.mount_threads
     }
 
     /// When checkpointing is enabled, controls whether mount actually
@@ -373,16 +307,10 @@ impl FtlConfig {
 
     /// Enables erase-suspend/resume in the NAND scheduler: an out-of-order
     /// read arriving while an erase is mid-pulse on its die preempts it
-    /// (never an erase of the read's own block) at the configured resume
-    /// penalty. Timing only; off by default.
+    /// (never an erase of the read's own block) at a 50 µs resume penalty.
+    /// Timing only; off by default.
     pub fn erase_suspend(mut self, enabled: bool) -> Self {
         self.nand = self.nand.erase_suspend(enabled);
-        self
-    }
-
-    /// Sets the erase resume penalty in nanoseconds (default 50 µs).
-    pub fn erase_resume_ns(mut self, ns: u64) -> Self {
-        self.nand = self.nand.erase_resume_ns(ns);
         self
     }
 
@@ -447,14 +375,9 @@ impl FtlConfig {
         self
     }
 
-    /// The over-provisioning ratio.
-    pub fn over_provisioning_ratio(&self) -> f64 {
-        self.over_provisioning
-    }
-
     /// The GC free-block reserve.
     pub fn gc_reserve(&self) -> u32 {
-        self.gc_reserve_blocks
+        GC_RESERVE_BLOCKS
     }
 
     /// The protection window.
@@ -470,7 +393,7 @@ impl FtlConfig {
         let g = self.geometry();
         let total = g.total_pages();
         let op_pages = (total as f64 * self.over_provisioning).ceil() as u64;
-        let reserve_pages = (self.gc_reserve_blocks as u64 + 1) * g.pages_per_block() as u64;
+        let reserve_pages = (GC_RESERVE_BLOCKS as u64 + 1) * g.pages_per_block() as u64;
         total.saturating_sub(op_pages.max(reserve_pages))
     }
 }
@@ -485,9 +408,7 @@ mod tests {
             .blocks_per_chip(100)
             .pages_per_block(10)
             .build(); // 1000 pages
-        let cfg = FtlConfig::new(g)
-            .over_provisioning(0.10)
-            .gc_reserve_blocks(2);
+        let cfg = FtlConfig::new(g).over_provisioning(0.10);
         // 10% of 1000 = 100 held back > 3 blocks * 10 pages reserve.
         assert_eq!(cfg.logical_pages(), 900);
     }
@@ -498,9 +419,7 @@ mod tests {
             .blocks_per_chip(100)
             .pages_per_block(10)
             .build();
-        let cfg = FtlConfig::new(g)
-            .over_provisioning(0.0)
-            .gc_reserve_blocks(2);
+        let cfg = FtlConfig::new(g).over_provisioning(0.0);
         // (2 + 1) blocks * 10 pages held back.
         assert_eq!(cfg.logical_pages(), 970);
     }
@@ -509,12 +428,6 @@ mod tests {
     #[should_panic(expected = "over-provisioning")]
     fn invalid_op_ratio_panics() {
         FtlConfig::new(Geometry::tiny()).over_provisioning(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one block")]
-    fn zero_reserve_panics() {
-        FtlConfig::new(Geometry::tiny()).gc_reserve_blocks(0);
     }
 
     #[test]
@@ -546,20 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_budget_knob() {
-        let cfg = FtlConfig::new(Geometry::tiny());
-        assert_eq!(cfg.gc_migration_budget_pages(), None);
-        let cfg = cfg.gc_migration_budget(64);
-        assert_eq!(cfg.gc_migration_budget_pages(), Some(64));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one page")]
-    fn zero_migration_budget_panics() {
-        FtlConfig::new(Geometry::tiny()).gc_migration_budget(0);
-    }
-
-    #[test]
     fn victim_recording_defaults_off() {
         let cfg = FtlConfig::new(Geometry::tiny());
         assert!(!cfg.gc_victim_recording());
@@ -573,32 +472,19 @@ mod tests {
         assert!(!cfg.copy_payloads_enabled());
         let cfg = cfg
             .scheduler(SchedMode::InOrder)
-            .queue_depth(8)
             .capture_commands(true)
             .copy_payloads(true);
         assert_eq!(cfg.nand().sched_mode(), SchedMode::InOrder);
-        assert_eq!(cfg.nand().queue_depth_limit(), 8);
         assert!(cfg.copy_payloads_enabled());
-    }
-
-    #[test]
-    #[should_panic(expected = "queue depth")]
-    fn zero_queue_depth_panics() {
-        let _ = FtlConfig::new(Geometry::tiny()).queue_depth(0);
     }
 
     #[test]
     fn checkpoint_knobs_default_off_and_are_settable() {
         let cfg = FtlConfig::new(Geometry::tiny());
         assert_eq!(cfg.checkpoint_interval_pages(), None);
-        assert_eq!(cfg.mount_threads_count(), 1);
         assert!(cfg.mount_from_checkpoint_enabled());
-        let cfg = cfg
-            .checkpoint_interval(64)
-            .mount_threads(0)
-            .mount_from_checkpoint(false);
+        let cfg = cfg.checkpoint_interval(64).mount_from_checkpoint(false);
         assert_eq!(cfg.checkpoint_interval_pages(), Some(64));
-        assert_eq!(cfg.mount_threads_count(), 0);
         assert!(!cfg.mount_from_checkpoint_enabled());
     }
 
@@ -633,12 +519,9 @@ mod tests {
     fn erase_suspend_passes_through_to_nand() {
         let cfg = FtlConfig::new(Geometry::tiny());
         assert!(!cfg.nand().erase_suspend_enabled());
-        let cfg = cfg
-            .erase_suspend(true)
-            .erase_resume_ns(80_000)
-            .max_erase_suspends(2);
+        let cfg = cfg.erase_suspend(true).max_erase_suspends(2);
         assert!(cfg.nand().erase_suspend_enabled());
-        assert_eq!(cfg.nand().erase_resume_latency_ns(), 80_000);
+        assert_eq!(cfg.nand().erase_resume_latency_ns(), 50_000);
         assert_eq!(cfg.nand().max_erase_suspends_limit(), 2);
     }
 

@@ -130,11 +130,6 @@ impl InsiderFtl {
         self.base.gc_drain_job(Some(&mut self.queue))
     }
 
-    /// Whether the drive is refusing writes pending recovery.
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
-    }
-
     /// Switches write protection on or off. The detection layer sets this
     /// before recovery and clears it after the host reboots.
     pub fn set_read_only(&mut self, read_only: bool) {
@@ -261,7 +256,8 @@ impl InsiderFtl {
     /// part of the crash-consistency contract: same-stamp overwrites of one
     /// page collapse to the newest version, and trims (which leave no flash
     /// record) are volatile — a trimmed page whose last content is still on
-    /// flash comes back mapped.
+    /// flash comes back mapped, to an older live copy when that content
+    /// survives only as a GC backup copy.
     ///
     /// The read-only latch and the retirement freeze are preserved (modeled
     /// as NVRAM-backed flags, like the alarm state), so a crash between an
@@ -299,6 +295,14 @@ impl InsiderFtl {
                     Some(last) if last.stamp == page.stamp => *last = page,
                     _ => versions.push(page),
                 }
+            }
+            // Versions newer than the mapped one survive only as backup
+            // copies of content the host trimmed before the cut, so the
+            // mount mapped an older live version: the history ends there,
+            // which keeps the mapped page out of the protected set.
+            let mapped = self.base.mapping.get(lba);
+            if let Some(pos) = versions.iter().position(|v| Some(v.ppa) == mapped) {
+                versions.truncate(pos + 1);
             }
             for (i, v) in versions.iter().enumerate() {
                 if v.stamp >= cutoff {

@@ -35,8 +35,7 @@ pub struct FtlStats {
     /// regardless of timer resolution.
     pub gc_ns: u64,
     /// Worst-case pages migrated by a single GC invocation — the tail
-    /// latency a host write can absorb. Bounded by the configured
-    /// `gc_migration_budget` (plus at most one block of overshoot).
+    /// latency a host write can absorb.
     pub gc_migrations_max: u64,
     /// Power-on mounts performed (full OOB-scan rebuilds after a power
     /// cut). Zero for a drive that never lost power.

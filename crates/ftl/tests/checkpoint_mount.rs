@@ -62,7 +62,7 @@ where
     F: Ftl,
     M: Fn(FtlConfig) -> F,
 {
-    let mut ckpt = make(config().checkpoint_interval(INTERVAL).mount_threads(0));
+    let mut ckpt = make(config().checkpoint_interval(INTERVAL));
     let mut full = make(
         config()
             .checkpoint_interval(INTERVAL)
@@ -115,31 +115,6 @@ fn insider_ckpt_mount_matches_full_scan() {
 #[test]
 fn conventional_ckpt_mount_matches_full_scan() {
     check_ckpt_mount_matches_full_scan(ConventionalFtl::new);
-}
-
-/// Every mount-thread setting — legacy serial, sharded, auto — must produce
-/// identical logical contents (with checkpointing off, isolating the scan).
-#[test]
-fn mount_thread_count_is_invisible() {
-    let mut serial = InsiderFtl::new(config());
-    let now = run(&mut serial);
-    serial.power_cut(now).expect("serial remount failed");
-    for threads in [0, 2, 7] {
-        let mut sharded = InsiderFtl::new(config().mount_threads(threads));
-        run(&mut sharded);
-        sharded.power_cut(now).expect("sharded remount failed");
-        assert_same_contents(
-            &mut serial,
-            &mut sharded,
-            now,
-            &format!("threads={threads} vs serial"),
-        );
-        assert_eq!(
-            serial.stats().mounts,
-            sharded.stats().mounts,
-            "mount counters diverged"
-        );
-    }
 }
 
 /// Sweeps power cuts across the region where checkpoint slot erases and

@@ -13,7 +13,7 @@
 
 use bytes::Bytes;
 use insider_ftl::{ConventionalFtl, Ftl, FtlConfig, FtlError, InsiderFtl};
-use insider_nand::{FaultPlan, Geometry, Lba, NandError, SimTime};
+use insider_nand::{FaultPlan, Geometry, Lba, NandError, Ppa, SimTime};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -340,4 +340,77 @@ fn crash_between_gc_migration_and_victim_erase_loses_nothing() {
         mid_gc_points, 3,
         "workload never produced a mid-GC crash point"
     );
+}
+
+/// A trimmed page whose newest version survives only as a GC `backup`
+/// copy, while an older `live` copy is still on flash: the mount maps the
+/// older copy, so the rebuilt history must end there. Before that rule the
+/// mapped page was also re-protected as the trimmed version's predecessor
+/// (protected > invalid on its block) and the remount panicked.
+#[test]
+fn remount_after_trimmed_version_was_relocated_as_backup() {
+    const TRIMMED: u64 = 0;
+    const HOT: u64 = 207;
+    let ms = SimTime::from_millis;
+    let mut ftl = InsiderFtl::new(config());
+    let mut expected: HashMap<u64, Bytes> = HashMap::new();
+    let write = |ftl: &mut InsiderFtl, expected: &mut HashMap<u64, Bytes>, lba, tag: &str, t| {
+        let payload = Bytes::from(format!("L{lba}:{tag}"));
+        ftl.write(Lba::new(lba), payload.clone(), t).expect("write");
+        expected.insert(lba, payload);
+    };
+    // Eleven blocks of cold data; version A of the trimmed page sits in
+    // the first of them, which never becomes a GC victim.
+    for lba in 0..176 {
+        write(&mut ftl, &mut expected, lba, "cold", ms(1));
+    }
+    let version_a = expected[&TRIMMED].clone();
+    // One block of hot overwrites — reclaimable once their superseding
+    // writes leave the window — closed by version B of the trimmed page,
+    // which is then trimmed: B stays protected by the trim's entry.
+    for i in 1..=15 {
+        write(&mut ftl, &mut expected, HOT, &format!("hot{i}"), ms(5 * i));
+    }
+    write(&mut ftl, &mut expected, TRIMMED, "B", ms(80));
+    let version_b = expected.remove(&TRIMMED).unwrap();
+    ftl.trim(Lba::new(TRIMMED), ms(81)).expect("trim");
+    // Overwrite cold pages (their old versions stay protected) until GC
+    // reclaims the hot block, relocating B as a backup copy.
+    let mut lba = 16;
+    while ftl.stats().gc_invocations == 0 {
+        assert!(lba < 176, "GC never ran");
+        write(&mut ftl, &mut expected, lba, "fill", ms(90));
+        lba += 1;
+    }
+    let g = *ftl.config().geometry();
+    let copies: Vec<_> = (0..g.total_pages())
+        .filter_map(|p| ftl.device().oob(Ppa::new(p)).unwrap())
+        .filter(|r| r.lba == Lba::new(TRIMMED))
+        .map(|r| (r.stamp, r.live))
+        .collect();
+    assert!(
+        copies.contains(&(ms(1), true)) && copies.contains(&(ms(80), false)),
+        "scenario not reached: {copies:?}"
+    );
+
+    // Inside the window of B's write, so its history is rebuilt.
+    ftl.power_cut(ms(100)).expect("remount");
+    let got = ftl.read(Lba::new(TRIMMED), ms(100)).unwrap();
+    assert!(
+        [None, Some(&version_a), Some(&version_b)].contains(&got.as_ref()),
+        "trimmed page came back as {got:?}"
+    );
+    for (lba, payload) in &expected {
+        let got = ftl.read(Lba::new(*lba), ms(100)).unwrap();
+        assert_eq!(got.as_ref(), Some(payload), "lba {lba} lost");
+    }
+    // The rebuilt protected mirror must reconcile through further GC.
+    let mut t = ms(200);
+    for round in 0..120u64 {
+        for lba in 0..8u64 {
+            write(&mut ftl, &mut expected, lba, &format!("p{round}"), t);
+            t += ms(5);
+        }
+    }
+    assert!(ftl.stats().gc_invocations > 1);
 }

@@ -10,6 +10,10 @@ use crate::stats::NandStats;
 use crate::{Geometry, NandError, Pba, Ppa, Result, SimTime};
 use bytes::Bytes;
 
+/// Datasheet-class erase resume overhead: tens of µs to rebuild the erase
+/// pulse after a suspend window.
+const ERASE_RESUME_NS: u64 = 50_000;
+
 /// Timing and reliability configuration for a [`NandDevice`].
 ///
 /// Defaults follow the paper's cited NAND datasheet (Micron MT29F):
@@ -29,7 +33,6 @@ pub struct NandConfig {
     queue_depth: usize,
     capture_commands: bool,
     erase_suspend: bool,
-    erase_resume_ns: u64,
     max_erase_suspends: u32,
 }
 
@@ -51,9 +54,6 @@ impl NandConfig {
             queue_depth: 32,
             capture_commands: false,
             erase_suspend: false,
-            // Datasheet-class erase resume overhead: tens of µs to rebuild
-            // the erase pulse after a suspend window.
-            erase_resume_ns: 50_000,
             max_erase_suspends: 3,
         }
     }
@@ -135,7 +135,7 @@ impl NandConfig {
 
     /// Enables erase-suspend/resume: in [`SchedMode::OutOfOrder`], a read
     /// arriving while an erase is mid-pulse on its die preempts it (never
-    /// an erase of the read's own block) at the configured resume penalty.
+    /// an erase of the read's own block) at a 50 µs resume penalty.
     /// Timing only — data application is unaffected. Off by default.
     pub fn erase_suspend(mut self, enabled: bool) -> Self {
         self.erase_suspend = enabled;
@@ -147,16 +147,10 @@ impl NandConfig {
         self.erase_suspend
     }
 
-    /// Sets the erase resume penalty in nanoseconds (default 50 µs): extra
-    /// die time a suspended erase pays to rebuild its pulse.
-    pub fn erase_resume_ns(mut self, ns: u64) -> Self {
-        self.erase_resume_ns = ns;
-        self
-    }
-
-    /// The configured erase resume penalty, ns.
+    /// The erase resume penalty, ns: extra die time a suspended erase
+    /// pays to rebuild its pulse.
     pub fn erase_resume_latency_ns(&self) -> u64 {
-        self.erase_resume_ns
+        ERASE_RESUME_NS
     }
 
     /// Caps how many times one erase may be suspended (default 3), so a
@@ -313,7 +307,7 @@ impl NandDevice {
             config.capture_commands,
         );
         if config.erase_suspend {
-            sched = sched.with_erase_suspend(config.erase_resume_ns, config.max_erase_suspends);
+            sched = sched.with_erase_suspend(ERASE_RESUME_NS, config.max_erase_suspends);
         }
         NandDevice {
             stats: NandStats::with_shape(chips, channels),
@@ -767,7 +761,7 @@ impl NandDevice {
 
     /// The out-of-band record of the page at `ppa`, if the page was
     /// programmed with one. Metadata peek with no timing or fault checks,
-    /// for audits and tests; mount scans use [`read_oob`](Self::read_oob).
+    /// for audits and tests; mount scans use [`scan_oob`](Self::scan_oob).
     ///
     /// # Errors
     ///
@@ -796,38 +790,6 @@ impl NandDevice {
             .data())
     }
 
-    /// Reads the out-of-band record of the page at `ppa` as a mount scan
-    /// does: charged as a full page read (array time plus bus transfer) and
-    /// subject to the fault plan. Unprogrammed pages yield `Ok(None)` — the
-    /// spare area of an erased page reads blank.
-    ///
-    /// # Errors
-    ///
-    /// * [`NandError::PpaOutOfRange`] — address beyond geometry.
-    /// * [`NandError::InjectedFault`] — scheduled by the fault plan.
-    /// * [`NandError::PowerLoss`] — power is cut or already off.
-    pub fn read_oob(&mut self, ppa: Ppa) -> Result<Option<OobRecord>> {
-        if let Err(e) = self.check_ppa(ppa) {
-            self.stats.record_failure();
-            return Err(e);
-        }
-        self.consult_faults(FaultKind::Read)?;
-        let g = self.config.geometry;
-        let record = self.blocks[ppa.block(&g).index() as usize]
-            .page(ppa.page_offset(&g))
-            .oob()
-            .copied();
-        self.stats.record_read(self.config.read_latency_ns);
-        self.charge(
-            FaultKind::Read,
-            ppa.index(),
-            ppa.block(&g),
-            self.config.read_latency_ns,
-            self.config.bus_transfer_ns,
-        );
-        Ok(record)
-    }
-
     /// Bulk spare-area scan of every block, sharded across `threads` OS
     /// threads (clamped to the block count; `0` and `1` both mean a single
     /// thread). Blocks are split into contiguous ranges — the simulator's
@@ -843,9 +805,9 @@ impl NandDevice {
     /// Each scanned page is charged as one spare-area read (array time
     /// plus bus transfer) in bulk: counts and the serial busy integral
     /// move, but the per-die vectors and the command scheduler do not — a
-    /// mount scan runs before the host queue exists. Unlike
-    /// [`read_oob`](Self::read_oob), per-page faults are not consulted
-    /// (the caller power-cycled the device; a scan is all-or-nothing).
+    /// mount scan runs before the host queue exists. Per-page faults are
+    /// not consulted (the caller power-cycled the device; a scan is
+    /// all-or-nothing).
     ///
     /// # Errors
     ///
@@ -1476,26 +1438,6 @@ mod tests {
     }
 
     #[test]
-    fn read_oob_is_charged_as_a_read() {
-        use crate::{Lba, SimTime};
-        let mut d = dev();
-        d.program_tagged(
-            Ppa::new(0),
-            Bytes::from_static(b"a"),
-            crate::OobTag::live(Lba::new(1), SimTime::ZERO),
-        )
-        .unwrap();
-        let before = d.stats().reads;
-        assert!(d.read_oob(Ppa::new(0)).unwrap().is_some());
-        assert_eq!(
-            d.read_oob(Ppa::new(1)).unwrap(),
-            None,
-            "erased spare reads blank"
-        );
-        assert_eq!(d.stats().reads, before + 2);
-    }
-
-    #[test]
     fn power_cut_latches_and_power_cycle_recovers() {
         use crate::{Lba, SimTime};
         let mut d = dev();
@@ -1629,33 +1571,75 @@ mod tests {
         assert!(rec[2].start_ns >= rec[0].start_ns);
     }
 
+    /// The bulk scan is the only mount-time view of the spare areas, so it
+    /// is pinned page by page against the free `oob` peek — on full,
+    /// partial, erased and re-programmed blocks, with untagged pages mixed
+    /// in — for one shard and for several shard counts.
     #[test]
-    fn scan_oob_matches_per_page_reads_and_is_thread_invariant() {
+    fn scan_oob_matches_per_page_peeks_for_any_shard_count() {
         use crate::{Lba, SimTime};
         let mut d = dev();
-        for p in 0..5u64 {
-            d.program_tagged(
-                Ppa::new(p),
-                Bytes::from_static(b"x"),
-                crate::OobTag::live(Lba::new(p), SimTime::from_secs(p)),
-            )
-            .unwrap();
-        }
+        let g = *d.geometry();
+        let ppb = g.pages_per_block();
+        let mut n = 0u64;
+        let mut fill = |d: &mut NandDevice, block: u32, pages: u32| {
+            for off in 0..pages {
+                let ppa = Pba::new(block).page(&g, off);
+                n += 1;
+                let data = Bytes::from_static(b"x");
+                if n.is_multiple_of(7) {
+                    d.program(ppa, data).unwrap(); // untagged
+                } else {
+                    let (lba, at) = (Lba::new(n % 40), SimTime::from_millis(n));
+                    let tag = if n.is_multiple_of(3) {
+                        crate::OobTag::backup(lba, at)
+                    } else {
+                        crate::OobTag::live(lba, at)
+                    };
+                    d.program_tagged(ppa, data, tag).unwrap();
+                }
+            }
+        };
+        fill(&mut d, 0, ppb); // full
+        fill(&mut d, 1, 5); // partial
+        fill(&mut d, 2, ppb); // erased
+        d.erase(Pba::new(2)).unwrap();
+        fill(&mut d, 3, ppb); // erased, then partially re-programmed
+        d.erase(Pba::new(3)).unwrap();
+        fill(&mut d, 3, 9);
+        fill(&mut d, 9, ppb); // full, mid-drive
+
         let die_before = d.stats().die_busy_ns.clone();
-        let serial = d.scan_oob(None, 1).unwrap();
-        let sharded = d.scan_oob(None, 7).unwrap();
-        assert_eq!(serial, sharded, "shard merge must be order-independent");
-        assert_eq!(serial.pages_scanned, 5);
-        let records: Vec<_> = serial
-            .blocks
-            .iter()
-            .flat_map(|b| b.records.iter().map(|(_, r)| *r))
-            .collect();
-        assert_eq!(records.len(), 5);
-        assert_eq!(records[4].lba, Lba::new(4));
-        // Charged as 5 + 5 spare reads in bulk (serial busy only; the
-        // per-die vectors and scheduler never see a mount scan).
-        assert_eq!(d.stats().reads, 10);
+        let single = d.scan_oob(None, 1).unwrap();
+        assert_eq!(single.blocks.len(), g.total_blocks() as usize);
+        let mut expected_pages = 0u64;
+        for (b, scan) in single.blocks.iter().enumerate() {
+            let pba = Pba::new(b as u32);
+            let block = d.block(pba).unwrap();
+            assert_eq!(scan.erase_count, block.erase_count());
+            assert_eq!(scan.scanned_to, block.write_ptr().unwrap_or(ppb));
+            assert_eq!(scan.start, 0);
+            assert!(!scan.rescanned);
+            let peeked: Vec<_> = (0..ppb)
+                .filter_map(|off| d.oob(pba.page(&g, off)).unwrap().map(|r| (off, r)))
+                .collect();
+            assert_eq!(scan.records, peeked, "block {b} diverged from the peeks");
+            expected_pages += u64::from(scan.scanned_to);
+        }
+        assert_eq!(single.pages_scanned, expected_pages);
+        assert_eq!(
+            single.blocks[2].scanned_to, 0,
+            "an erased block reads blank"
+        );
+        assert_eq!(single.blocks[3].erase_count, 1);
+
+        for threads in [2, 3, 16, 64] {
+            let sharded = d.scan_oob(None, threads).unwrap();
+            assert_eq!(sharded, single, "{threads} shards diverged from one");
+        }
+        // Charged as one spare read per scanned page, in bulk: the per-die
+        // vectors and the command scheduler never see a mount scan.
+        assert_eq!(d.stats().reads, 5 * expected_pages);
         assert_eq!(d.stats().die_busy_ns, die_before);
     }
 

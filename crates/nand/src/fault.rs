@@ -178,11 +178,6 @@ impl FaultPlan {
         self.powered_off
     }
 
-    /// Whether a power cut is scheduled but has not fired yet.
-    pub fn power_cut_pending(&self) -> bool {
-        self.power_cut_at.is_some()
-    }
-
     /// Clears the powered-off latch (the device was power-cycled).
     pub(crate) fn power_restored(&mut self) {
         self.powered_off = false;
