@@ -8,8 +8,9 @@
 #                      steady-state / ROC smoke runs
 #                      (env bounds below; smoke JSON goes to target/ci/, never
 #                      touching the committed artifacts), bench_check
-#                      validating every committed BENCH_*.json schema and
-#                      headline ratio, then a build + self-test of the
+#                      validating the schema and headline ratios of every
+#                      committed BENCH_*.json and of the four fresh smoke
+#                      artifacts in target/ci/, then a build + self-test of the
 #                      end-to-end benchmark in e2ebench/ (its own Cargo
 #                      workspace, so nothing else compiles it). No network
 #                      needed: deps are vendored.
@@ -26,9 +27,6 @@
 #                      program/erase boundary of three traces on both FTLs,
 #                      plus the filesystem attack/crash/rollback scenario.
 #                      (Tier 1 runs a strided fast version as a plain test.)
-#   make bench-mount — regenerate BENCH_mount.json (full-scan vs
-#                      checkpoint+tail remount on an 8192-block drive at
-#                      rising utilization: host ms and NAND reads per mount).
 #   make bench-e2e   — run the end-to-end benchmark (BENCHMARK.json's
 #                      command, e2ebench/) once per workload: aged-churn,
 #                      read-scan, fs-ransom, at seed 1 for BENCHMARK.json's
@@ -63,9 +61,6 @@
 #                      LAT_PAGES override instead.)
 #
 # Env knobs (all optional):
-#   CKPT_INTERVAL      — host-write pages between mapping-table checkpoints
-#                        (bench_mount default 65536; crash_sweep arms a small
-#                        interval for its checkpointed pass; 0 disables).
 #   CRASH_SWEEP_STRIDE / CRASH_SWEEP_PAGES / CRASH_SWEEP_FS_POINTS
 #                      — crash-sweep density: cut-point stride, per-trace
 #                        write budget, filesystem-scenario cut points.
@@ -76,8 +71,8 @@
 
 CARGO ?= cargo
 
-# Bounds for the CI smoke runs: dense enough to cross several checkpoint
-# writes and every code path, small enough to finish in seconds.
+# Bounds for the CI smoke runs: dense enough to cross every code path,
+# small enough to finish in seconds.
 CI_SWEEP_ENV = CRASH_SWEEP_STRIDE=41 CRASH_SWEEP_PAGES=160 CRASH_SWEEP_FS_POINTS=6
 CI_LAT_ENV = LAT_PASSES=1
 CI_MT_ENV = MT_SHARDS=1,2 MT_WORKERS=2 MT_REPEATS=2
@@ -86,7 +81,7 @@ CI_ROC_ENV = ROC_TRACES=1
 # The end-to-end benchmark: the command BENCHMARK.json declares.
 E2E = $(CARGO) run --release --quiet --offline --manifest-path e2ebench/Cargo.toml --
 
-.PHONY: tier1 ci test bench bench-json bench-gc crash-sweep bench-mount bench-multitenant bench-latency bench-roc bench-steady bench-e2e
+.PHONY: tier1 ci test bench bench-json bench-gc crash-sweep bench-multitenant bench-latency bench-roc bench-steady bench-e2e
 
 tier1:
 	$(CARGO) build --release
@@ -103,6 +98,9 @@ ci: tier1
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json
 	$(CI_ROC_ENV) $(CARGO) run --release -p insider-bench --bin bench_roc target/ci/BENCH_roc.json
 	$(CARGO) run --release -p insider-bench --bin bench_check
+	$(CARGO) run --release -p insider-bench --bin bench_check -- \
+		target/ci/BENCH_latency.json target/ci/BENCH_multitenant.json \
+		target/ci/BENCH_steady.json target/ci/BENCH_roc.json
 	$(CARGO) test --release --offline --manifest-path e2ebench/Cargo.toml
 
 test:
@@ -119,9 +117,6 @@ bench-gc:
 
 crash-sweep:
 	$(CARGO) run --release -p insider-bench --bin crash_sweep
-
-bench-mount:
-	$(CARGO) run --release -p insider-bench --bin bench_mount
 
 bench-multitenant:
 	$(CARGO) run --release -p insider-bench --bin bench_multitenant

@@ -1,20 +1,17 @@
-//! CI gate over the committed benchmark artifacts: validates the schema of
-//! every `BENCH_*.json` in the repo and fails when a headline ratio
-//! regresses below its floor.
+//! CI gate over benchmark artifacts: validates the schema of each
+//! `BENCH_*.json` and fails when a headline ratio regresses below its floor.
+//! The check is picked by file name, so the same gates apply to the
+//! committed artifacts and to fresh smoke output.
 //!
 //! The floors are deliberately far below the currently measured values —
 //! they catch "the optimization silently fell off" (a 96x GC speedup
-//! collapsing to 1x, the checkpoint mount path degenerating to a full
-//! scan), not run-to-run noise on a shared CI host:
+//! collapsing to 1x), not run-to-run noise on a shared CI host:
 //!
 //! * detect: interval table at least as fast as the naive layout on every
 //!   trace, and >= [`DETECT_HEADLINE_MIN`]x on the best one.
 //! * gc: indexed victim selection >= [`GC_SPEEDUP_MIN`]x the legacy scan on
 //!   both FTLs, and the trace-replay victim sequences byte-identical.
 //! * latency: zero-copy never slower than the copying payload path.
-//! * mount: a full-scan remount issues >= [`MOUNT_SPEEDUP_MIN`]x the NAND
-//!   reads of a checkpoint+tail remount at 90 % utilization (read counts
-//!   are deterministic, so the ratio carries no host noise).
 //! * multitenant: the shard curve is present and strictly increasing.
 //! * steady: incremental GC + erase-suspend cuts the foreground write p99
 //!   by >= [`STEADY_P99_RATIO_MIN`]x vs blocking GC, with throughput no
@@ -27,17 +24,19 @@
 //!   anywhere (it is a monotone strengthening by construction).
 //!
 //! Usage:
-//!   cargo run --release -p insider-bench --bin bench_check [-- repo_dir]
+//!   cargo run --release -p insider-bench --bin bench_check [-- FILE...]
 //!
-//! Exits nonzero listing every violated check; prints one line per file on
-//! success.
+//! With no arguments, checks every committed artifact in the current
+//! directory (the repo root). With arguments, checks exactly those files;
+//! each file name must be one of the known `BENCH_*.json` names (e.g.
+//! `target/ci/BENCH_latency.json`). Exits nonzero listing every violated
+//! check; prints one line per file on success.
 
 use serde_json::Value;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const DETECT_HEADLINE_MIN: f64 = 10.0;
 const GC_SPEEDUP_MIN: f64 = 5.0;
-const MOUNT_SPEEDUP_MIN: f64 = 5.0;
 const STEADY_P99_RATIO_MIN: f64 = 2.0;
 const STEADY_THROUGHPUT_MIN: f64 = 0.9;
 /// The paper reports FRR 0 % on known classes; anything below 1.0 means a
@@ -58,9 +57,8 @@ struct Violation(String, String);
 /// One schema/headline check over a parsed artifact.
 type Check = fn(&Value, &mut Vec<Violation>);
 
-fn load(dir: &Path, name: &str, errors: &mut Vec<Violation>) -> Option<Value> {
-    let path = dir.join(name);
-    let raw = match std::fs::read_to_string(&path) {
+fn load(path: &Path, name: &str, errors: &mut Vec<Violation>) -> Option<Value> {
+    let raw = match std::fs::read_to_string(path) {
         Ok(raw) => raw,
         Err(e) => {
             errors.push(Violation(name.into(), format!("unreadable: {e}")));
@@ -76,7 +74,7 @@ fn load(dir: &Path, name: &str, errors: &mut Vec<Violation>) -> Option<Value> {
     }
 }
 
-/// Fetches a dotted path (`rows.3.mount_ms`); records a violation when the
+/// Fetches a dotted path (`traces.3.speedup`); records a violation when the
 /// path is missing.
 fn get<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
     let mut cur = doc;
@@ -247,49 +245,6 @@ fn check_latency(doc: &Value, errors: &mut Vec<Violation>) {
                 ));
             }
         }
-    }
-}
-
-fn check_mount(doc: &Value, errors: &mut Vec<Violation>) {
-    let name = "BENCH_mount.json";
-    let Some(rows) = need_array(doc, "rows", name, errors) else {
-        return;
-    };
-    let reads_at = |arm: &str, util: f64| -> Option<f64> {
-        rows.iter()
-            .find(|r| {
-                get(r, "arm").and_then(as_str) == Some(arm)
-                    && get(r, "utilization").and_then(as_f64) == Some(util)
-            })
-            .and_then(|r| get(r, "nand_reads"))
-            .and_then(as_f64)
-    };
-    for (i, r) in rows.iter().enumerate() {
-        for field in ["utilization", "mount_ms", "records_per_sec", "nand_reads"] {
-            need_f64(r, field, &format!("{name} rows.{i}"), errors);
-        }
-        if get(r, "arm").and_then(as_str).is_none() {
-            errors.push(Violation(name.into(), format!("rows.{i}: missing `arm`")));
-        }
-    }
-    match (reads_at("full", 0.9), reads_at("ckpt_tail", 0.9)) {
-        (Some(full), Some(ckpt)) if ckpt > 0.0 => {
-            let ratio = full / ckpt;
-            if ratio < MOUNT_SPEEDUP_MIN {
-                errors.push(Violation(
-                    name.into(),
-                    format!(
-                        "checkpoint+tail remount reads only {ratio:.1}x fewer NAND pages \
-                         than the full scan at 0.9 utilization ({ckpt} vs {full}) — floor \
-                         is {MOUNT_SPEEDUP_MIN}x"
-                    ),
-                ));
-            }
-        }
-        _ => errors.push(Violation(
-            name.into(),
-            "missing full and/or ckpt_tail rows (with nand_reads) at 0.9 utilization".into(),
-        )),
     }
 }
 
@@ -466,27 +421,40 @@ fn check_roc(doc: &Value, errors: &mut Vec<Violation>) {
     }
 }
 
+/// Every known artifact and its check, by file name.
+const CHECKS: [(&str, Check); 6] = [
+    ("BENCH_detect.json", check_detect),
+    ("BENCH_gc.json", check_gc),
+    ("BENCH_latency.json", check_latency),
+    ("BENCH_multitenant.json", check_multitenant),
+    ("BENCH_roc.json", check_roc),
+    ("BENCH_steady.json", check_steady),
+];
+
 fn main() {
-    let dir = std::env::args().nth(1).unwrap_or_else(|| ".".into());
-    let dir = Path::new(&dir);
+    let mut paths: Vec<PathBuf> = std::env::args_os().skip(1).map(PathBuf::from).collect();
+    if paths.is_empty() {
+        paths = CHECKS.iter().map(|(name, _)| PathBuf::from(name)).collect();
+    }
     let mut errors = Vec::new();
 
-    let checks: [(&str, Check); 7] = [
-        ("BENCH_detect.json", check_detect),
-        ("BENCH_gc.json", check_gc),
-        ("BENCH_latency.json", check_latency),
-        ("BENCH_mount.json", check_mount),
-        ("BENCH_multitenant.json", check_multitenant),
-        ("BENCH_roc.json", check_roc),
-        ("BENCH_steady.json", check_steady),
-    ];
-    for (name, check) in checks {
+    for path in paths {
+        let label = path.display().to_string();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let Some(&(name, check)) = CHECKS.iter().find(|(known, _)| *known == name) else {
+            errors.push(Violation(label, "no check for this file name".into()));
+            continue;
+        };
         let before = errors.len();
-        if let Some(doc) = load(dir, name, &mut errors) {
+        if let Some(doc) = load(&path, name, &mut errors) {
             check(&doc, &mut errors);
         }
         if errors.len() == before {
-            println!("ok   {name}");
+            println!("ok   {label}");
+        }
+        // Violations name the artifact; report them under the path given.
+        for Violation(file, _) in &mut errors[before..] {
+            *file = file.replacen(name, &label, 1);
         }
     }
 
@@ -497,5 +465,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("all benchmark artifacts pass schema and headline-ratio checks");
+    println!("all checked benchmark artifacts pass schema and headline-ratio checks");
 }

@@ -60,13 +60,6 @@ pub struct SweepConfig {
     /// the paper's 10 s so the compact traces straddle the cutoff and the
     /// post-remount rollback check rewinds to a *non-trivial* state.
     pub window: SimTime,
-    /// Periodic mapping-checkpoint interval (in host page writes) for the
-    /// FTLs under test; `None` sweeps the default non-checkpointed
-    /// configuration. With an interval set, checkpoint slot erases and
-    /// page programs join the mutation space, so a stride-1 sweep cuts
-    /// power *inside* checkpoint writes — and every remount must fall back
-    /// (torn slot) or fast-mount (valid slot) to the same contract.
-    pub checkpoint_interval: Option<u64>,
     /// Sweeps the incremental background GC engine instead of the blocking
     /// collector: a tiny step budget and watermark margin keep paused
     /// `GcJob`s live across most host writes, and the out-of-order NAND
@@ -83,7 +76,6 @@ impl SweepConfig {
             stride: 1,
             write_budget: 600,
             window: SimTime::from_millis(100),
-            checkpoint_interval: None,
             incremental_gc: false,
         }
     }
@@ -94,18 +86,7 @@ impl SweepConfig {
             stride: 23,
             write_budget: 160,
             window: SimTime::from_millis(100),
-            checkpoint_interval: None,
             incremental_gc: false,
-        }
-    }
-
-    /// The same sweep with periodic checkpointing armed. The interval is
-    /// deliberately small relative to the write budget so several
-    /// checkpoints land inside each trace and cuts hit their writes.
-    pub fn checkpointed(self, interval: u64) -> Self {
-        SweepConfig {
-            checkpoint_interval: Some(interval.max(1)),
-            ..self
         }
     }
 
@@ -118,8 +99,8 @@ impl SweepConfig {
         }
     }
 
-    /// Applies `CRASH_SWEEP_STRIDE` / `CRASH_SWEEP_PAGES` / `CKPT_INTERVAL`
-    /// env overrides (`CKPT_INTERVAL=0` disables checkpointing).
+    /// Applies `CRASH_SWEEP_STRIDE` / `CRASH_SWEEP_PAGES` /
+    /// `CRASH_SWEEP_INCREMENTAL` env overrides.
     pub fn from_env(self) -> Self {
         fn env(name: &str) -> Option<u64> {
             std::env::var(name).ok()?.parse().ok()
@@ -128,22 +109,14 @@ impl SweepConfig {
             stride: env("CRASH_SWEEP_STRIDE").unwrap_or(self.stride).max(1),
             write_budget: env("CRASH_SWEEP_PAGES").unwrap_or(self.write_budget),
             window: self.window,
-            checkpoint_interval: match env("CKPT_INTERVAL") {
-                Some(0) => None,
-                Some(n) => Some(n),
-                None => self.checkpoint_interval,
-            },
             incremental_gc: env("CRASH_SWEEP_INCREMENTAL").map_or(self.incremental_gc, |v| v != 0),
         }
     }
 
     /// The FTL configuration this sweep tests: the standard sweep config
-    /// plus this sweep's checkpoint interval and GC engine selection.
+    /// plus this sweep's GC engine selection.
     pub fn ftl_config(&self) -> FtlConfig {
         let mut cfg = sweep_ftl_config(self.window);
-        if let Some(interval) = self.checkpoint_interval {
-            cfg = cfg.checkpoint_interval(interval);
-        }
         if self.incremental_gc {
             // A 1-page step against 16-page blocks parks a GcJob across
             // nearly every host write, maximizing the states a cut can

@@ -37,20 +37,20 @@ impl RunOutcome {
         self.active
     }
 
-    /// End time of a verdict's slice (the checkpoint at which the score
+    /// End time of a verdict's slice (the instant at which the score
     /// became visible).
-    fn checkpoint(&self, v: &Verdict) -> SimTime {
+    fn slice_end(&self, v: &Verdict) -> SimTime {
         SimTime::from_micros((v.slice + 1) * self.slice.as_micros())
     }
 
-    /// First checkpoint at/after the attack started whose score reaches
+    /// First slice end at/after the attack started whose score reaches
     /// `threshold` — i.e. when the drive would raise the alarm.
     pub fn detected_at(&self, threshold: u32) -> Option<SimTime> {
         let start = self.active?.start;
         self.verdicts
             .iter()
             .filter(|v| v.score >= threshold)
-            .map(|v| self.checkpoint(v))
+            .map(|v| self.slice_end(v))
             .find(|&t| t >= start)
     }
 
@@ -61,7 +61,7 @@ impl RunOutcome {
     }
 
     /// Whether the run is a *false rejection* at `threshold`: ransomware ran
-    /// but no checkpoint during/after the attack reached the threshold.
+    /// but no slice during/after the attack reached the threshold.
     pub fn is_false_rejection(&self, threshold: u32) -> bool {
         self.active.is_some() && self.detected_at(threshold).is_none()
     }
@@ -73,7 +73,7 @@ impl RunOutcome {
         let limit = self.active.map(|p| p.start);
         self.verdicts
             .iter()
-            .any(|v| v.score >= threshold && limit.is_none_or(|start| self.checkpoint(v) < start))
+            .any(|v| v.score >= threshold && limit.is_none_or(|start| self.slice_end(v) < start))
     }
 }
 
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn false_alarm_before_attack() {
-        // Score 3 at slice 1 (checkpoint t=2), attack starts at t=10.
+        // Score 3 at slice 1 (slice end t=2), attack starts at t=10.
         let verdicts = vec![verdict(1, 3), verdict(10, 3)];
         let run = RunOutcome::new(verdicts, active(10, 20), one_second());
         assert!(run.is_false_alarm(3));

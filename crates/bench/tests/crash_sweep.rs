@@ -53,15 +53,6 @@ fn bounded_crash_sweep_matrix_upholds_durability_contract() {
     check_matrix(&SweepConfig::fast().from_env());
 }
 
-/// The same bounded matrix with periodic checkpointing armed: checkpoint
-/// writes join the mutation space, so strided cuts land inside them, and
-/// every remount goes through the checkpoint-load (or torn-slot fallback)
-/// path instead of the full scan.
-#[test]
-fn bounded_crash_sweep_matrix_with_checkpointing() {
-    check_matrix(&SweepConfig::fast().from_env().checkpointed(24));
-}
-
 /// The same bounded matrix with the incremental GC engine and
 /// erase-suspend armed: a 1-page step budget keeps a `GcJob` paused across
 /// most host writes, so strided cuts land inside half-migrated victim

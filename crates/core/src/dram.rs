@@ -30,12 +30,6 @@ pub const QUEUE_ENTRY_BYTES: usize = RecoveryQueue::ENTRY_BYTES;
 /// Table III budget provisions zero such entries.
 pub const OOB_SCAN_ENTRY_BYTES: usize = 24;
 
-/// Bytes per chain-index record mirrored in DRAM for periodic mapping
-/// checkpoints, matching the on-flash checkpoint record: LBA (8), physical
-/// page (8), program sequence (8), write stamp (8) and the live/backup tag
-/// (1). Zero entries unless `checkpoint_interval` is configured.
-pub const CHAIN_ENTRY_BYTES: usize = 33;
-
 /// DRAM footprint of the three SSD-Insider structures, in the units the
 /// paper's Table III uses (entry count × fixed entry size — what a firmware
 /// implementation would statically provision).
@@ -53,10 +47,6 @@ pub struct DramUsage {
     /// [`total_bytes`](Self::total_bytes): the scan buffer is freed before
     /// the device services its first host command.
     pub mount_scan_entries: usize,
-    /// Records in the checkpoint chain index — the steady-state DRAM the
-    /// FTL pays for fast (checkpoint + OOB tail) remounts. Zero when
-    /// checkpointing is off, so the default configuration bills nothing.
-    pub chain_index_entries: usize,
     /// Programs whose payload moved as a refcounted handle (the zero-copy
     /// data path). Provenance counters, not a byte bill — excluded from
     /// [`total_bytes`](Self::total_bytes).
@@ -76,7 +66,6 @@ impl DramUsage {
             counting_entries: table.len(),
             queue_entries: device.ftl().recovery_queue().len(),
             mount_scan_entries: device.ftl().mount_scan_entries() as usize,
-            chain_index_entries: device.ftl().chain_index_entries() as usize,
             buffers_shared: nand.buffers_shared,
             buffers_copied: nand.buffers_copied,
         }
@@ -90,7 +79,6 @@ impl DramUsage {
             counting_entries: 1_000,
             queue_entries: 2_621_440,
             mount_scan_entries: 0,
-            chain_index_entries: 0,
             buffers_shared: 0,
             buffers_copied: 0,
         }
@@ -118,16 +106,10 @@ impl DramUsage {
         self.mount_scan_entries * OOB_SCAN_ENTRY_BYTES
     }
 
-    /// Checkpoint chain-index bytes (zero unless checkpointing is on).
-    pub fn chain_index_bytes(&self) -> usize {
-        self.chain_index_entries * CHAIN_ENTRY_BYTES
-    }
-
-    /// Total steady-state bytes: the three paper-provisioned structures
-    /// plus the checkpoint chain index (which only bills when enabled).
+    /// Total steady-state bytes: the three paper-provisioned structures.
     /// The transient mount-scan buffer is excluded.
     pub fn total_bytes(&self) -> usize {
-        self.hash_bytes() + self.counting_bytes() + self.queue_bytes() + self.chain_index_bytes()
+        self.hash_bytes() + self.counting_bytes() + self.queue_bytes()
     }
 }
 
@@ -140,7 +122,6 @@ impl std::ops::Add for DramUsage {
             counting_entries: self.counting_entries + rhs.counting_entries,
             queue_entries: self.queue_entries + rhs.queue_entries,
             mount_scan_entries: self.mount_scan_entries + rhs.mount_scan_entries,
-            chain_index_entries: self.chain_index_entries + rhs.chain_index_entries,
             buffers_shared: self.buffers_shared + rhs.buffers_shared,
             buffers_copied: self.buffers_copied + rhs.buffers_copied,
         }
@@ -253,14 +234,6 @@ impl std::fmt::Display for DramUsage {
             QUEUE_ENTRY_BYTES,
             self.queue_entries,
             self.queue_bytes()
-        )?;
-        writeln!(
-            f,
-            "{:<16} {:>10} {:>10} {:>12}",
-            "chain index",
-            CHAIN_ENTRY_BYTES,
-            self.chain_index_entries,
-            self.chain_index_bytes()
         )?;
         writeln!(
             f,
@@ -388,7 +361,6 @@ mod tests {
             counting_entries: 2,
             queue_entries: 3,
             mount_scan_entries: 4,
-            chain_index_entries: 7,
             buffers_shared: 5,
             buffers_copied: 6,
         };
@@ -397,7 +369,6 @@ mod tests {
             counting_entries: 20,
             queue_entries: 30,
             mount_scan_entries: 40,
-            chain_index_entries: 70,
             buffers_shared: 50,
             buffers_copied: 60,
         };
@@ -406,7 +377,6 @@ mod tests {
         assert_eq!(sum.counting_entries, 22);
         assert_eq!(sum.queue_entries, 33);
         assert_eq!(sum.mount_scan_entries, 44);
-        assert_eq!(sum.chain_index_entries, 77);
         assert_eq!(sum.buffers_shared, 55);
         assert_eq!(sum.buffers_copied, 66);
         let mut acc = a;

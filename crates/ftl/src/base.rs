@@ -1,7 +1,6 @@
 //! Machinery shared by the conventional and SSD-Insider FTLs: page
 //! allocation, the reverse map, and greedy garbage collection.
 
-use crate::checkpoint::{self, BlockMeta, Checkpoint};
 use crate::config::{FtlConfig, GcPolicy};
 use crate::mapping::MappingTable;
 use crate::recovery_queue::{BackupEntry, RecoveryQueue};
@@ -9,8 +8,7 @@ use crate::stats::{FtlStats, GcVictim, GcVictimKind};
 use crate::{FtlError, Result};
 use bytes::Bytes;
 use insider_nand::{
-    KindLatency, LatencyHistogram, Lba, NandDevice, NandError, OobTag, PageState, Pba, Ppa,
-    ScanBaseline, SimTime, CKPT_SLOTS,
+    KindLatency, LatencyHistogram, Lba, NandDevice, NandError, OobTag, PageState, Pba, Ppa, SimTime,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Instant;
@@ -286,36 +284,6 @@ pub(crate) struct FtlBase {
     /// scan (zero before any mount) — the size of the structure an on-device
     /// implementation would stream through during power-on recovery.
     mount_scan_entries: u64,
-    /// DRAM mirror of the per-LBA OOB record chains, maintained at every
-    /// tagged program and pruned at every erase — `Some` only when periodic
-    /// checkpointing is enabled (`FtlConfig::checkpoint_interval`), `None`
-    /// otherwise so the default configuration pays nothing. This is what a
-    /// checkpoint snapshots: the *inputs* of the mount algorithm, not its
-    /// outputs, so the checkpointed mount path reuses the full-scan
-    /// reconstruction code unchanged.
-    chain_index: Option<BTreeMap<Lba, Vec<ScanPage>>>,
-    /// Flat mount-scan snapshot deferred for lazy chain-index rebuilding:
-    /// cloning the flat vector at mount is a single memcpy, while grouping
-    /// it into `chain_index` costs tens of milliseconds on a full drive —
-    /// work the first post-mount chain mutation (a host write, a GC erase
-    /// or a due checkpoint) absorbs instead of the latency-critical mount.
-    chain_seed: Option<Vec<(Lba, ScanPage)>>,
-    /// Logical pages with chain records in each block (duplicates allowed):
-    /// the pruning index an erase walks so it touches only the erased
-    /// block's chains instead of the whole index. Empty when checkpointing
-    /// is off.
-    block_lbas: Vec<Vec<Lba>>,
-    /// Minimum OOB sequence number per block, `None` after an erase —
-    /// checkpointed in full fidelity because the horizon filter may drop
-    /// the chain record that held the minimum. Empty when checkpointing is
-    /// off.
-    block_min_seq: Vec<Option<u64>>,
-    /// `host_writes` watermark at the last persisted checkpoint.
-    last_ckpt_writes: u64,
-    /// Which device checkpoint slot holds the newest valid checkpoint;
-    /// writes ping-pong to the other slot so a mid-write power cut can
-    /// never destroy the fallback.
-    ckpt_newest: Option<usize>,
     /// In-flight incremental GC job, `None` at quiescence (and always
     /// `None` on the blocking path). Dropped — not persisted — across a
     /// power cut; the half-migrated victim is simply re-selectable.
@@ -409,20 +377,6 @@ impl FtlBase {
             wear: WearTracker::new(g.total_blocks()),
             victim_log: Vec::new(),
             mount_scan_entries: 0,
-            chain_index: config.checkpoint_interval_pages().map(|_| BTreeMap::new()),
-            chain_seed: None,
-            block_lbas: if config.checkpoint_interval_pages().is_some() {
-                vec![Vec::new(); g.total_blocks() as usize]
-            } else {
-                Vec::new()
-            },
-            block_min_seq: if config.checkpoint_interval_pages().is_some() {
-                vec![None; g.total_blocks() as usize]
-            } else {
-                Vec::new()
-            },
-            last_ckpt_writes: 0,
-            ckpt_newest: None,
             gc_job: None,
             gc_pause_hist: LatencyHistogram::new(),
             stats: FtlStats::new(),
@@ -434,18 +388,6 @@ impl FtlBase {
     /// power cycle).
     pub fn mount_scan_entries(&self) -> u64 {
         self.mount_scan_entries
-    }
-
-    /// Records currently held in the DRAM chain index that periodic
-    /// checkpointing snapshots — zero when checkpointing is disabled. A
-    /// not-yet-materialized mount seed counts: it is the same records,
-    /// still in flat form.
-    pub fn chain_index_entries(&self) -> u64 {
-        let seeded = self.chain_seed.as_ref().map_or(0, |s| s.len() as u64);
-        self.chain_index
-            .as_ref()
-            .map_or(0, |index| index.values().map(|c| c.len() as u64).sum())
-            + seeded
     }
 
     pub fn config(&self) -> &FtlConfig {
@@ -748,141 +690,6 @@ impl FtlBase {
         Ok(out)
     }
 
-    /// Folds a pending mount seed into the live chain index. Deferred out
-    /// of [`remount`] so the reconstruction's grouping cost lands on the
-    /// first post-mount chain mutation instead of the mount itself; until
-    /// then the seed *is* the chain state (flat, per-LBA runs adjacent).
-    ///
-    /// [`remount`]: Self::remount
-    fn materialize_chains(&mut self) {
-        let Some(seed) = self.chain_seed.take() else {
-            return;
-        };
-        let g = *self.config.geometry();
-        let mut block_lbas = vec![Vec::new(); g.total_blocks() as usize];
-        for (lba, p) in &seed {
-            block_lbas[p.ppa.block(&g).index() as usize].push(*lba);
-        }
-        self.block_lbas = block_lbas;
-        // The seed's runs are adjacent and lba-sorted, so grouping is one
-        // linear pass and the map is bulk-built from sorted keys.
-        let mut groups: Vec<(Lba, Vec<ScanPage>)> = Vec::new();
-        for (lba, p) in seed {
-            match groups.last_mut() {
-                Some((last, chain)) if *last == lba => chain.push(p),
-                _ => groups.push((lba, vec![p])),
-            }
-        }
-        self.chain_index = Some(groups.into_iter().collect());
-    }
-
-    /// Mirrors one just-programmed OOB record into the DRAM chain index —
-    /// a no-op unless checkpointing is enabled. `seq` is the device
-    /// sequence number the program was stamped with
-    /// ([`NandDevice::last_seq`] right after a single tagged program).
-    fn chain_note(&mut self, lba: Lba, ppa: Ppa, seq: u64, stamp: SimTime, live: bool) {
-        if self.chain_index.is_none() {
-            return;
-        }
-        self.materialize_chains();
-        let raw = ppa.block(self.config.geometry()).index() as usize;
-        self.chain_index
-            .as_mut()
-            .expect("checked above")
-            .entry(lba)
-            .or_default()
-            .push(ScanPage {
-                ppa,
-                seq,
-                stamp,
-                live,
-            });
-        self.block_lbas[raw].push(lba);
-        let slot = &mut self.block_min_seq[raw];
-        *slot = Some(slot.map_or(seq, |m| m.min(seq)));
-    }
-
-    /// Drops every chain record living in just-erased block `pba` — a
-    /// no-op unless checkpointing is enabled. Walks only the logical pages
-    /// the pruning index recorded for the block, so the cost is
-    /// proportional to the block's chain content, not the index size.
-    fn chain_prune(&mut self, pba: Pba) {
-        if self.chain_index.is_none() {
-            return;
-        }
-        self.materialize_chains();
-        let raw = pba.index() as usize;
-        let g = *self.config.geometry();
-        let lbas = std::mem::take(&mut self.block_lbas[raw]);
-        let index = self.chain_index.as_mut().expect("checked above");
-        for lba in lbas {
-            if let Some(chain) = index.get_mut(&lba) {
-                chain.retain(|p| p.ppa.block(&g) != pba);
-                if chain.is_empty() {
-                    index.remove(&lba);
-                }
-            }
-        }
-        self.block_min_seq[raw] = None;
-    }
-
-    /// Writes a checkpoint if one is due: called by the host write paths
-    /// after `host_writes` is counted, so the interval is measured in
-    /// acknowledged host pages. `anchor` is the instant the retention
-    /// horizon is measured from — the caller's `now`, or the freeze time
-    /// when SSD-Insider has an alarm pending (whichever is older).
-    ///
-    /// A NAND fault (including an injected power cut) propagates to the
-    /// caller with the watermark unchanged, so the next write retries; the
-    /// torn slot is the one *not* holding the newest valid checkpoint and
-    /// will be erased again before reuse.
-    pub fn maybe_checkpoint(&mut self, anchor: SimTime) -> Result<()> {
-        let Some(interval) = self.config.checkpoint_interval_pages() else {
-            return Ok(());
-        };
-        if self.stats.host_writes.saturating_sub(self.last_ckpt_writes) < interval {
-            return Ok(());
-        }
-        self.write_checkpoint(anchor)
-    }
-
-    /// Serializes the chain index (horizon-filtered) plus the per-block
-    /// scan baselines into the ping-pong checkpoint slot.
-    fn write_checkpoint(&mut self, anchor: SimTime) -> Result<()> {
-        let g = *self.config.geometry();
-        let horizon = anchor.saturating_sub(self.config.window());
-        let mut blocks = Vec::with_capacity(g.total_blocks() as usize);
-        for raw in 0..g.total_blocks() {
-            let block = self.device.block(Pba::new(raw))?;
-            blocks.push(BlockMeta {
-                erase_count: block.erase_count(),
-                programmed: block.write_ptr().unwrap_or(g.pages_per_block()),
-                min_seq: self.block_min_seq[raw as usize],
-            });
-        }
-        self.materialize_chains();
-        let index = self.chain_index.as_ref().expect("checkpointing enabled");
-        let ckpt = Checkpoint {
-            seq: self.device.last_seq(),
-            stamp: anchor,
-            horizon,
-            blocks,
-            records: checkpoint::filter_chains(index, horizon),
-        };
-        let pages = ckpt.encode(g.page_size() as usize);
-        let slot = self.ckpt_newest.map_or(0, |newest| 1 - newest);
-        self.device.ckpt_erase(slot)?;
-        let count = pages.len() as u64;
-        for page in pages {
-            self.device.ckpt_append(slot, page)?;
-        }
-        self.ckpt_newest = Some(slot);
-        self.last_ckpt_writes = self.stats.host_writes;
-        self.stats.checkpoints += 1;
-        self.stats.checkpoint_pages += count;
-        Ok(())
-    }
-
     /// Programs `data` for `lba` at a fresh physical page, updates both maps,
     /// and returns the superseded physical page, if any. The caller decides
     /// what happens to the old page (immediate invalidation vs. protection).
@@ -895,7 +702,6 @@ impl FtlBase {
         let data = self.hop(&data);
         self.device
             .program_tagged(new, data, OobTag::live(lba, stamp))?;
-        self.chain_note(lba, new, self.device.last_seq(), stamp, true);
         self.rmap[new.index() as usize] = Some(lba);
         let old = self.mapping.set(lba, Some(new));
         Ok(old)
@@ -980,13 +786,9 @@ impl FtlBase {
             })
             .collect();
         let (done, result) = self.device.program_pages_tagged(batch);
-        // The device stamps the batch's programmed prefix with consecutive
-        // sequence numbers ending at its current watermark.
-        let first_seq = self.device.last_seq() + 1 - done as u64;
         let mut olds = Vec::with_capacity(done);
         for (i, &new) in ppas[..done].iter().enumerate() {
             let l = lba.offset(i as u64);
-            self.chain_note(l, new, first_seq + i as u64, stamp, true);
             self.rmap[new.index() as usize] = Some(l);
             let old = self.mapping.set(l, Some(new));
             if let Some(old) = old {
@@ -1570,7 +1372,6 @@ impl FtlBase {
                 let new = self.allocate()?;
                 self.device
                     .program_tagged(new, data, OobTag::live(lba, stamp))?;
-                self.chain_note(lba, new, self.device.last_seq(), stamp, true);
                 self.rmap[new.index() as usize] = Some(lba);
                 self.mapping.set(lba, Some(new));
                 self.invalidate(ppa)?;
@@ -1599,7 +1400,6 @@ impl FtlBase {
                     let new = self.allocate()?;
                     self.device
                         .program_tagged(new, data, OobTag::backup(lba, stamp))?;
-                    self.chain_note(lba, new, self.device.last_seq(), stamp, false);
                     // The copy holds an *old* version, not live data.
                     self.invalidate(new)?;
                     self.rmap[new.index() as usize] = Some(lba);
@@ -1633,7 +1433,6 @@ impl FtlBase {
         );
         match self.device.erase(victim) {
             Ok(()) => {
-                self.chain_prune(victim);
                 self.invalid_per_block[raw as usize] = 0;
                 self.free_flags[raw as usize] = true;
                 self.free_count += 1;
@@ -1710,56 +1509,20 @@ impl FtlBase {
     /// Rebuilds the mount-scan inputs — the flat record list in canonical
     /// mount order (logical page, then `(stamp, seq)`, oldest version
     /// first), per-block programmed watermarks and per-block minimum
-    /// sequence numbers — with one sharded spare-area scan
-    /// ([`NandDevice::scan_oob`], one worker per available core):
+    /// sequence numbers — with one sharded spare-area scan of every block
+    /// ([`NandDevice::scan_oob`], one worker per available core) and one
+    /// global sort.
     ///
-    /// 1. **Checkpoint + tail**: when checkpointing is configured and a
-    ///    slot holds a valid (CRC-checked) checkpoint, only the OOB records
-    ///    programmed *after* the checkpoint are scanned; blocks erased
-    ///    since (erase-count mismatch) are rescanned in full and their
-    ///    checkpointed records dropped.
-    /// 2. **Full scan** otherwise: every spare area, one global sort.
-    ///
-    /// Either way the scan is charged in bulk to the device's `NandStats`
-    /// only — a mount runs before the host queue exists, so no mount read
-    /// reaches the command scheduler or the host latency histograms.
-    ///
-    /// Debug builds verify path 1 against a free full-device scan: merged
-    /// records must all exist on flash, per-LBA mount winners and the
-    /// per-block watermark/min-seq vectors must match exactly.
+    /// The scan is charged in bulk to the device's `NandStats` only — a
+    /// mount runs before the host queue exists, so no mount read reaches
+    /// the command scheduler or the host latency histograms.
     fn mount_scan(&mut self) -> Result<MountScan> {
         let g = *self.config.geometry();
         let total_blocks = g.total_blocks() as usize;
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let ckpt = if self.config.checkpoint_interval_pages().is_some()
-            && self.config.mount_from_checkpoint_enabled()
-        {
-            self.load_checkpoint(total_blocks)
-        } else {
-            None
-        };
-        let baseline: Option<Vec<ScanBaseline>> = ckpt.as_ref().map(|c| {
-            c.blocks
-                .iter()
-                .map(|b| ScanBaseline {
-                    erase_count: b.erase_count,
-                    programmed: b.programmed,
-                })
-                .collect()
-        });
-        let report = self.device.scan_oob(baseline.as_deref(), threads)?;
+        let report = self.device.scan_oob(threads)?;
         let mut programmed = vec![0u32; total_blocks];
-        // Checkpointed minima survive unless their block was recycled —
-        // flash is the truth for rescanned blocks.
-        let mut min_seq: Vec<Option<u64>> = match &ckpt {
-            Some(c) => c
-                .blocks
-                .iter()
-                .zip(&report.blocks)
-                .map(|(meta, scan)| if scan.rescanned { None } else { meta.min_seq })
-                .collect(),
-            None => vec![None; total_blocks],
-        };
+        let mut min_seq: Vec<Option<u64>> = vec![None; total_blocks];
         let total: usize = report.blocks.iter().map(|b| b.records.len()).sum();
         let mut scanned = Vec::with_capacity(total);
         for (i, block) in report.blocks.iter().enumerate() {
@@ -1778,173 +1541,8 @@ impl FtlBase {
                 ));
             }
         }
-        let key = |e: &(Lba, ScanPage)| (e.0.index(), e.1.stamp, e.1.seq);
-        scanned.sort_unstable_by_key(key);
-        let Some(ckpt) = ckpt else {
-            return Ok((scanned, programmed, min_seq));
-        };
-
-        // Checkpointed records survive unless their block was recycled.
-        // The checkpoint is already in canonical order (the encoder writes
-        // filter_chains output) and the filter preserves it, so the merge
-        // with the sorted tail is linear — this is where the <50 ms remount
-        // target is won or lost.
-        let mut kept = ckpt.records;
-        kept.retain(|(_, p)| !report.blocks[p.ppa.block(&g).index() as usize].rescanned);
-        debug_assert!(kept.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
-        let mut flat = Vec::with_capacity(kept.len() + scanned.len());
-        let (mut a, mut b) = (0, 0);
-        while a < kept.len() && b < scanned.len() {
-            if key(&kept[a]) <= key(&scanned[b]) {
-                flat.push(kept[a]);
-                a += 1;
-            } else {
-                flat.push(scanned[b]);
-                b += 1;
-            }
-        }
-        flat.extend_from_slice(&kept[a..]);
-        flat.extend_from_slice(&scanned[b..]);
-        #[cfg(debug_assertions)]
-        self.verify_checkpoint_merge(&flat, &programmed, &min_seq);
-        Ok((flat, programmed, min_seq))
-    }
-
-    /// Reads both checkpoint slots and returns the newest valid checkpoint
-    /// (highest sequence watermark), or `None` when neither slot decodes —
-    /// an unreadable, torn, foreign or wrong-geometry slot simply loses,
-    /// which is the crash-fallback contract: a cut mid-checkpoint falls
-    /// back to the surviving slot, or to a full scan.
-    fn load_checkpoint(&mut self, total_blocks: usize) -> Option<Checkpoint> {
-        // Order the decode attempts by each slot's *claimed* header
-        // watermark so the expensive CRC-guarded decode typically runs
-        // once. A torn slot can claim any sequence number, so a failed
-        // decode falls through to the other slot — the claim is only an
-        // ordering hint, never trusted.
-        let mut slots: Vec<(usize, Vec<Bytes>, u64)> = Vec::new();
-        for slot in 0..CKPT_SLOTS {
-            let Ok(pages) = self.device.ckpt_read(slot) else {
-                continue;
-            };
-            let Some(seq) = Checkpoint::peek_seq(&pages) else {
-                continue;
-            };
-            slots.push((slot, pages, seq));
-        }
-        slots.sort_by_key(|&(_, _, seq)| std::cmp::Reverse(seq));
-        for (slot, pages, _) in slots {
-            let Some(ckpt) = Checkpoint::decode(&pages) else {
-                continue;
-            };
-            if ckpt.blocks.len() != total_blocks {
-                continue;
-            }
-            // Remember which slot won so the next write targets the other.
-            self.ckpt_newest = Some(slot);
-            return Some(ckpt);
-        }
-        None
-    }
-
-    /// Differential oracle for the checkpoint+tail merge, debug builds
-    /// only: every merged record must exist on flash with identical
-    /// fields, the per-LBA mount winner (newest live record) must be the
-    /// one a full scan would pick, and the per-block programmed/min-seq
-    /// vectors must match flash exactly. Full chain-set equality is *not*
-    /// asserted — the horizon filter legitimately drops records that can no
-    /// longer influence reconstruction.
-    #[cfg(debug_assertions)]
-    fn verify_checkpoint_merge(
-        &self,
-        merged: &[(Lba, ScanPage)],
-        programmed: &[u32],
-        min_seq: &[Option<u64>],
-    ) {
-        let mut grouped: BTreeMap<Lba, Vec<ScanPage>> = BTreeMap::new();
-        for (lba, p) in merged {
-            grouped.entry(*lba).or_default().push(*p);
-        }
-        let merged = &grouped;
-        let g = *self.config.geometry();
-        let ppb = g.pages_per_block();
-        let mut full: BTreeMap<Lba, Vec<ScanPage>> = BTreeMap::new();
-        let mut full_prog = vec![0u32; g.total_blocks() as usize];
-        let mut full_min: Vec<Option<u64>> = vec![None; g.total_blocks() as usize];
-        for raw in 0..g.total_blocks() {
-            let block = self.device.block(Pba::new(raw)).expect("block in range");
-            let count = block.write_ptr().unwrap_or(ppb);
-            full_prog[raw as usize] = count;
-            for off in 0..count {
-                let Some(rec) = block.page(off).oob() else {
-                    continue;
-                };
-                let slot = &mut full_min[raw as usize];
-                *slot = Some(slot.map_or(rec.seq, |m| m.min(rec.seq)));
-                full.entry(rec.lba).or_default().push(ScanPage {
-                    ppa: Pba::new(raw).page(&g, off),
-                    seq: rec.seq,
-                    stamp: rec.stamp,
-                    live: rec.live,
-                });
-            }
-        }
-        assert_eq!(
-            programmed,
-            &full_prog[..],
-            "checkpoint+tail programmed watermarks diverged from flash"
-        );
-        assert_eq!(
-            min_seq,
-            &full_min[..],
-            "checkpoint+tail per-block min-seq diverged from flash"
-        );
-        for (lba, chain) in merged {
-            let flash = full
-                .get(lba)
-                .expect("merged chain for an lba with no flash records");
-            for p in chain {
-                assert!(flash.contains(p), "merged record not on flash: {lba} {p:?}");
-            }
-        }
-        for (lba, flash_chain) in &full {
-            let flash_winner = flash_chain.iter().filter(|p| p.live).max_by_key(|p| p.seq);
-            let merged_winner = merged
-                .get(lba)
-                .and_then(|c| c.iter().filter(|p| p.live).max_by_key(|p| p.seq));
-            assert_eq!(
-                merged_winner.map(|p| p.ppa),
-                flash_winner.map(|p| p.ppa),
-                "mount winner diverged for {lba}"
-            );
-        }
-    }
-
-    /// Reseeds the incremental checkpoint state from a completed mount's
-    /// merged chains — a no-op unless checkpointing is enabled. The chain
-    /// index restarts from exactly what the mount reconstructed (the
-    /// horizon filter is idempotent for forward-moving horizons, so
-    /// re-filtering previously filtered chains loses nothing), and the
-    /// write watermark restarts so the next checkpoint comes one full
-    /// interval after the mount.
-    ///
-    /// The flat scan is stashed as a *seed* and the per-LBA index plus the
-    /// per-block LBA lists are rebuilt lazily by [`materialize_chains`] on
-    /// the first post-mount chain mutation — the index is only consulted by
-    /// the *next* checkpoint write, so deferring the grouping keeps ~50 ms
-    /// of container churn out of the measured mount wall-clock.
-    ///
-    /// [`materialize_chains`]: Self::materialize_chains
-    fn rebuild_chain_state(&mut self, chains: &[(Lba, ScanPage)], min_seq: &[Option<u64>]) {
-        if self.chain_index.is_none() {
-            return;
-        }
-        self.block_min_seq = min_seq.to_vec();
-        // An empty map marks checkpointing as enabled; the real contents
-        // come from the seed when first needed. block_lbas is stale until
-        // then, but materialize_chains overwrites it wholesale.
-        self.chain_index = Some(BTreeMap::new());
-        self.chain_seed = Some(chains.to_vec());
-        self.last_ckpt_writes = self.stats.host_writes;
+        scanned.sort_unstable_by_key(|e| (e.0.index(), e.1.stamp, e.1.seq));
+        Ok((scanned, programmed, min_seq))
     }
 
     /// Power-cycles the device and rebuilds every DRAM structure from the
@@ -2016,8 +1614,7 @@ impl FtlBase {
         // victim is re-scored from physical state like every other block.
         self.gc_job = None;
 
-        // Rebuild the scan inputs — checkpoint + OOB tail when a valid
-        // checkpoint exists, a full scan otherwise.
+        // Rebuild the scan inputs from every block's spare area.
         let (chains, programmed, min_seq) = self.mount_scan()?;
         self.mount_scan_entries = chains.len() as u64;
 
@@ -2109,7 +1706,6 @@ impl FtlBase {
             }
             self.refresh_victim(raw);
         }
-        self.rebuild_chain_state(&chains, &min_seq);
         self.stats.mounts += 1;
         Ok(chains)
     }

@@ -75,12 +75,6 @@ impl ConventionalFtl {
         self.base.mount_scan_entries()
     }
 
-    /// Records held by the checkpoint chain index (zero unless periodic
-    /// checkpointing is enabled) — the DRAM cost of fast remounts.
-    pub fn chain_index_entries(&self) -> u64 {
-        self.base.chain_index_entries()
-    }
-
     /// Reads promoted past queued mutations by the out-of-order scheduler.
     pub fn reads_promoted(&self) -> u64 {
         self.base.device.reads_promoted()
@@ -130,7 +124,6 @@ impl Ftl for ConventionalFtl {
             self.base.invalidate(old)?;
         }
         self.base.stats.host_writes += 1;
-        self.base.maybe_checkpoint(now)?;
         Ok(())
     }
 
@@ -167,8 +160,7 @@ impl Ftl for ConventionalFtl {
         self.base.set_clock(now);
         self.base.check_extent(lba, data.len() as u32)?;
         self.base.gc_before_write(data.len() as u64, None)?;
-        self.base.program_extent_mapped(lba, data, now, None)?;
-        self.base.maybe_checkpoint(now)
+        self.base.program_extent_mapped(lba, data, now, None)
     }
 
     fn power_cut(&mut self, now: SimTime) -> Result<()> {

@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod base;
-mod checkpoint;
 mod config;
 mod conventional;
 mod error;

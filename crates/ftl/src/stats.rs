@@ -40,12 +40,14 @@ pub struct FtlStats {
     /// Power-on mounts performed (full OOB-scan rebuilds after a power
     /// cut). Zero for a drive that never lost power.
     pub mounts: u64,
-    /// Mapping-table checkpoints persisted to the NAND checkpoint slots.
-    /// Zero unless `FtlConfig::checkpoint_interval` is set.
+    /// Always zero: the drive writes no mapping-table checkpoints (mount
+    /// rebuilds everything from the OOB scan). Kept only because the
+    /// end-to-end benchmark's per-layer schema still reports it as
+    /// `ftl.checkpoints`.
     #[serde(default)]
     pub checkpoints: u64,
-    /// Total checkpoint pages programmed across all checkpoints — the
-    /// flash-write overhead of checkpointing.
+    /// Always zero, like [`checkpoints`](Self::checkpoints); kept only for
+    /// the benchmark's `ftl.checkpoint_pages` metric.
     #[serde(default)]
     pub checkpoint_pages: u64,
     /// Budgeted pump steps executed by the incremental GC engine. Zero
@@ -125,7 +127,7 @@ impl std::fmt::Display for FtlStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "reads={} writes={} trims={} gc[runs={} copies={} protected={} erases={} bad={} ns={} max_migr={} steps={} stw={}] mounts={} ckpts={}/{}p WA={:.3}",
+            "reads={} writes={} trims={} gc[runs={} copies={} protected={} erases={} bad={} ns={} max_migr={} steps={} stw={}] mounts={} WA={:.3}",
             self.host_reads,
             self.host_writes,
             self.host_trims,
@@ -139,8 +141,6 @@ impl std::fmt::Display for FtlStats {
             self.gc_steps,
             self.gc_stw_fallbacks,
             self.mounts,
-            self.checkpoints,
-            self.checkpoint_pages,
             self.write_amplification()
         )
     }

@@ -160,7 +160,8 @@ fn replay_acked<T: Target>(ftl: &mut T, acked: &Acked) {
 /// Crash-vs-oracle differential run: contents must match page for page,
 /// with the documented trim-volatility relaxation; afterwards both drives
 /// must keep absorbing writes (exercising GC over the rebuilt per-block
-/// state and victim index — the PR-3 reconciliation asserts run in debug).
+/// state and victim index — the PR-3 reconciliation asserts run in debug)
+/// and survive a second power cycle with their contents unchanged.
 fn check_crash_matches_oracle<T: Target>(ops: &[Op], cut: u64) {
     let mut crashed = T::make();
     let acked = replay_until_crash(&mut crashed, ops, cut);
@@ -204,20 +205,57 @@ fn check_crash_matches_oracle<T: Target>(ops: &[Op], cut: u64) {
     }
 
     // The remounted block state must sustain further service: overwrite a
-    // working set hard enough to force garbage collection on both drives.
+    // hot set hard enough to force garbage collection on both drives, with
+    // one cold page per round so victims hold live pages GC must move.
+    let copies_before = (
+        crashed.stats().gc_page_copies,
+        oracle.stats().gc_page_copies,
+    );
     let mut t = acked.now + SimTime::from_secs(1);
+    let mut expected = HashMap::new();
     for round in 0..40u64 {
-        for lba in 0..8u64 {
+        for lba in (0..7u64).chain([8 + round]) {
             let payload = Bytes::from(format!("post{round}:{lba}"));
             crashed
                 .write(Lba::new(lba), payload.clone(), t)
                 .expect("post-remount write");
             oracle
-                .write(Lba::new(lba), payload, t)
+                .write(Lba::new(lba), payload.clone(), t)
                 .expect("post-oracle write");
+            expected.insert(lba, payload);
             t += SimTime::from_millis(5);
         }
     }
+    assert!(
+        crashed.stats().gc_page_copies > copies_before.0
+            && oracle.stats().gc_page_copies > copies_before.1,
+        "post-remount service never migrated a page (cut={cut})"
+    );
+
+    // A second, clean power cycle over the GC-reshaped flash must give back
+    // exactly the contents each drive served before it.
+    let snapshot = |ftl: &mut T| -> Vec<Option<Bytes>> {
+        (0..ftl.logical_pages())
+            .map(|lba| ftl.read(Lba::new(lba), t).expect("read failed"))
+            .collect()
+    };
+    let before = (snapshot(&mut crashed), snapshot(&mut oracle));
+    for (lba, want) in &expected {
+        assert_eq!(before.0[*lba as usize].as_ref(), Some(want));
+        assert_eq!(before.1[*lba as usize].as_ref(), Some(want));
+    }
+    crashed.power_cut(t).expect("second remount failed");
+    oracle.power_cut(t).expect("second oracle remount failed");
+    assert_eq!(
+        snapshot(&mut crashed),
+        before.0,
+        "second remount changed contents (cut={cut})"
+    );
+    assert_eq!(
+        snapshot(&mut oracle),
+        before.1,
+        "second oracle remount changed contents (cut={cut})"
+    );
 }
 
 proptest! {

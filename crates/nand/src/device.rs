@@ -186,39 +186,14 @@ impl NandConfig {
     }
 }
 
-/// Number of controller checkpoint slots a [`NandDevice`] reserves.
-///
-/// Two slots are ping-ponged by the FTL: the newest valid checkpoint is
-/// always kept intact while the other slot is erased and rewritten, so a
-/// power cut mid-checkpoint can never destroy the last good one.
-pub const CKPT_SLOTS: usize = 2;
-
-/// Per-block baseline a tail scan starts from (see
-/// [`NandDevice::scan_oob`]): the block's erase count and programmed page
-/// count at the time a checkpoint was taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanBaseline {
-    /// Erase count recorded for the block when the baseline was captured.
-    pub erase_count: u32,
-    /// Pages programmed (in order, from offset 0) at capture time.
-    pub programmed: u32,
-}
-
 /// One block's result from a [`NandDevice::scan_oob`] pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockScan {
     /// The block's current erase count.
     pub erase_count: u32,
-    /// First page offset this pass actually read (nonzero only when a
-    /// matching [`ScanBaseline`] let the scan skip a prefix).
-    pub start: u32,
     /// Exclusive end of the scan: the block's write pointer (or the full
     /// block when it is completely programmed).
     pub scanned_to: u32,
-    /// Whether a baseline existed for this block but its erase count no
-    /// longer matched, forcing a full rescan — the caller must drop any
-    /// checkpointed records it held for this block.
-    pub rescanned: bool,
     /// `(page offset, record)` for every scanned page carrying an OOB
     /// record, in page order.
     pub records: Vec<(u32, OobRecord)>,
@@ -279,16 +254,6 @@ pub struct NandDevice {
     /// during mount, so keeping the counter is equivalent to (and cheaper
     /// than) a max-scan-plus-one rebuild.
     next_seq: u64,
-    /// Controller checkpoint region: [`CKPT_SLOTS`] page lists modeling a
-    /// reserved NAND area. Contents persist across [`power_cut`]
-    /// (checkpoints exist precisely to survive it); writes and erases go
-    /// through [`ckpt_append`]/[`ckpt_erase`], which consult the fault
-    /// plan like any other mutation.
-    ///
-    /// [`power_cut`]: Self::power_cut
-    /// [`ckpt_append`]: Self::ckpt_append
-    /// [`ckpt_erase`]: Self::ckpt_erase
-    ckpt_slots: [Vec<Bytes>; 2],
 }
 
 impl NandDevice {
@@ -316,13 +281,11 @@ impl NandDevice {
             config,
             faults: FaultPlan::new(),
             next_seq: 1,
-            ckpt_slots: [Vec::new(), Vec::new()],
         }
     }
 
     /// The sequence number assigned to the most recent tagged program
-    /// (zero before any). Lets the FTL mirror the OOB records it just
-    /// wrote without re-reading them.
+    /// (zero before any).
     pub fn last_seq(&self) -> u64 {
         self.next_seq - 1
     }
@@ -797,11 +760,6 @@ impl NandDevice {
     /// report is always in block-index order, so the result is
     /// deterministic regardless of thread count.
     ///
-    /// With a `baseline`, a block whose erase count still matches its
-    /// [`ScanBaseline`] is scanned only from the baseline's programmed
-    /// count to its write pointer (the OOB *tail*); a mismatched block is
-    /// rescanned in full and flagged [`rescanned`](BlockScan::rescanned).
-    ///
     /// Each scanned page is charged as one spare-area read (array time
     /// plus bus transfer) in bulk: counts and the serial busy integral
     /// move, but the per-die vectors and the command scheduler do not — a
@@ -812,65 +770,42 @@ impl NandDevice {
     /// # Errors
     ///
     /// [`NandError::PowerLoss`] if the device is latched off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` is present but not sized to the block count.
-    pub fn scan_oob(
-        &mut self,
-        baseline: Option<&[ScanBaseline]>,
-        threads: usize,
-    ) -> Result<ScanReport> {
+    pub fn scan_oob(&mut self, threads: usize) -> Result<ScanReport> {
         if self.faults.is_powered_off() {
             self.stats.record_failure();
             return Err(NandError::PowerLoss);
         }
         let ppb = self.config.geometry.pages_per_block();
         let nblocks = self.blocks.len();
-        if let Some(base) = baseline {
-            assert_eq!(base.len(), nblocks, "scan baseline must cover every block");
-        }
         let shard_count = threads.max(1).min(nblocks.max(1));
         let chunk = nblocks.div_ceil(shard_count);
-        let blocks = &self.blocks;
-        let scan_range = |lo: usize, hi: usize| -> Vec<BlockScan> {
-            let mut out = Vec::with_capacity(hi - lo);
-            for b in lo..hi {
-                let block = &blocks[b];
-                let scanned_to = block.write_ptr().unwrap_or(ppb);
-                let (start, rescanned) = match baseline {
-                    Some(base) if base[b].erase_count == block.erase_count() => {
-                        (base[b].programmed.min(scanned_to), false)
+        let scan_range = |shard: &[Block]| -> Vec<BlockScan> {
+            shard
+                .iter()
+                .map(|block| {
+                    let scanned_to = block.write_ptr().unwrap_or(ppb);
+                    let mut records = Vec::with_capacity(scanned_to as usize);
+                    for offset in 0..scanned_to {
+                        if let Some(record) = block.page(offset).oob() {
+                            records.push((offset, *record));
+                        }
                     }
-                    Some(_) => (0, true),
-                    None => (0, false),
-                };
-                let mut records = Vec::with_capacity((scanned_to - start) as usize);
-                for offset in start..scanned_to {
-                    if let Some(record) = block.page(offset).oob() {
-                        records.push((offset, *record));
+                    BlockScan {
+                        erase_count: block.erase_count(),
+                        scanned_to,
+                        records,
                     }
-                }
-                out.push(BlockScan {
-                    erase_count: block.erase_count(),
-                    start,
-                    scanned_to,
-                    rescanned,
-                    records,
-                });
-            }
-            out
+                })
+                .collect()
         };
         let merged: Vec<BlockScan> = if shard_count <= 1 {
-            scan_range(0, nblocks)
+            scan_range(&self.blocks)
         } else {
             std::thread::scope(|s| {
-                let handles: Vec<_> = (0..shard_count)
-                    .map(|i| {
-                        let lo = (i * chunk).min(nblocks);
-                        let hi = ((i + 1) * chunk).min(nblocks);
-                        s.spawn(move || scan_range(lo, hi))
-                    })
+                let handles: Vec<_> = self
+                    .blocks
+                    .chunks(chunk)
+                    .map(|shard| s.spawn(move || scan_range(shard)))
                     .collect();
                 // Shards are contiguous block ranges joined in spawn
                 // order, so the fold is a plain order-preserving concat.
@@ -880,10 +815,7 @@ impl NandDevice {
                     .collect()
             })
         };
-        let pages_scanned: u64 = merged
-            .iter()
-            .map(|b| u64::from(b.scanned_to - b.start))
-            .sum();
+        let pages_scanned: u64 = merged.iter().map(|b| u64::from(b.scanned_to)).sum();
         self.stats.record_scan(
             pages_scanned,
             self.config.read_latency_ns + self.config.bus_transfer_ns,
@@ -892,91 +824,6 @@ impl NandDevice {
             blocks: merged,
             pages_scanned,
         })
-    }
-
-    /// Erases checkpoint slot `slot`, preparing it for a new checkpoint.
-    /// Counts as one erase mutation: it is fault-checked and charged like
-    /// a block erase, so crash sweeps enumerate cut points on it.
-    ///
-    /// # Errors
-    ///
-    /// * [`NandError::InjectedFault`] — scheduled by the fault plan.
-    /// * [`NandError::PowerLoss`] — power is cut or already off (the slot
-    ///   is left untouched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= CKPT_SLOTS`.
-    pub fn ckpt_erase(&mut self, slot: usize) -> Result<()> {
-        assert!(slot < CKPT_SLOTS, "checkpoint slot out of range");
-        self.consult_faults(FaultKind::Erase)?;
-        self.ckpt_slots[slot].clear();
-        self.stats.record_erase(self.config.erase_latency_ns);
-        Ok(())
-    }
-
-    /// Appends one page to checkpoint slot `slot`. Counts as one program
-    /// mutation: fault-checked and charged like a page program, so a
-    /// power cut can land between any two checkpoint pages and leave a
-    /// torn (CRC-invalid) checkpoint behind.
-    ///
-    /// # Errors
-    ///
-    /// * [`NandError::PayloadTooLarge`] — page exceeds the geometry's page
-    ///   size.
-    /// * [`NandError::InjectedFault`] — scheduled by the fault plan.
-    /// * [`NandError::PowerLoss`] — power is cut or already off (the page
-    ///   is not appended).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= CKPT_SLOTS`.
-    pub fn ckpt_append(&mut self, slot: usize, page: Bytes) -> Result<()> {
-        assert!(slot < CKPT_SLOTS, "checkpoint slot out of range");
-        if page.len() > self.config.geometry.page_size() as usize {
-            self.stats.record_failure();
-            return Err(NandError::PayloadTooLarge {
-                len: page.len(),
-                page_size: self.config.geometry.page_size(),
-            });
-        }
-        self.consult_faults(FaultKind::Program)?;
-        self.ckpt_slots[slot].push(page);
-        self.stats.record_program(self.config.program_latency_ns);
-        Ok(())
-    }
-
-    /// Reads back checkpoint slot `slot`, charging one page read per
-    /// stored page. An empty slot yields an empty list.
-    ///
-    /// # Errors
-    ///
-    /// * [`NandError::InjectedFault`] — scheduled by the fault plan.
-    /// * [`NandError::PowerLoss`] — power is cut or already off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= CKPT_SLOTS`.
-    pub fn ckpt_read(&mut self, slot: usize) -> Result<Vec<Bytes>> {
-        assert!(slot < CKPT_SLOTS, "checkpoint slot out of range");
-        for _ in 0..self.ckpt_slots[slot].len() {
-            self.consult_faults(FaultKind::Read)?;
-        }
-        let pages = self.ckpt_slots[slot].clone();
-        self.stats
-            .record_scan(pages.len() as u64, self.config.read_latency_ns);
-        Ok(pages)
-    }
-
-    /// Free peek at checkpoint slot `slot` (no timing, no faults), for
-    /// differential oracles and tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= CKPT_SLOTS`.
-    pub fn ckpt_peek(&self, slot: usize) -> &[Bytes] {
-        assert!(slot < CKPT_SLOTS, "checkpoint slot out of range");
-        &self.ckpt_slots[slot]
     }
 
     /// Marks a programmed page invalid (superseded). FTL-driven; free pages
@@ -1457,8 +1304,9 @@ mod tests {
         // Everything fails while latched off, reads included.
         assert_eq!(d.read(Ppa::new(0)), Err(NandError::PowerLoss));
         assert_eq!(d.erase(Pba::new(1)), Err(NandError::PowerLoss));
+        assert_eq!(d.scan_oob(1), Err(NandError::PowerLoss));
         assert_eq!(d.stats().injected_faults, 1, "only the cut itself fired");
-        assert!(d.stats().failures >= 3);
+        assert!(d.stats().failures >= 4);
         // Power-cycle: data and OOB persist, validity degrades to Invalid.
         d.power_cut();
         assert!(!d.is_powered_off());
@@ -1610,7 +1458,7 @@ mod tests {
         fill(&mut d, 9, ppb); // full, mid-drive
 
         let die_before = d.stats().die_busy_ns.clone();
-        let single = d.scan_oob(None, 1).unwrap();
+        let single = d.scan_oob(1).unwrap();
         assert_eq!(single.blocks.len(), g.total_blocks() as usize);
         let mut expected_pages = 0u64;
         for (b, scan) in single.blocks.iter().enumerate() {
@@ -1618,8 +1466,6 @@ mod tests {
             let block = d.block(pba).unwrap();
             assert_eq!(scan.erase_count, block.erase_count());
             assert_eq!(scan.scanned_to, block.write_ptr().unwrap_or(ppb));
-            assert_eq!(scan.start, 0);
-            assert!(!scan.rescanned);
             let peeked: Vec<_> = (0..ppb)
                 .filter_map(|off| d.oob(pba.page(&g, off)).unwrap().map(|r| (off, r)))
                 .collect();
@@ -1634,91 +1480,13 @@ mod tests {
         assert_eq!(single.blocks[3].erase_count, 1);
 
         for threads in [2, 3, 16, 64] {
-            let sharded = d.scan_oob(None, threads).unwrap();
+            let sharded = d.scan_oob(threads).unwrap();
             assert_eq!(sharded, single, "{threads} shards diverged from one");
         }
         // Charged as one spare read per scanned page, in bulk: the per-die
         // vectors and the command scheduler never see a mount scan.
         assert_eq!(d.stats().reads, 5 * expected_pages);
         assert_eq!(d.stats().die_busy_ns, die_before);
-    }
-
-    #[test]
-    fn scan_oob_baseline_skips_unchanged_prefix_and_flags_erased_blocks() {
-        use crate::{Lba, SimTime};
-        let mut d = dev();
-        let tag = |l: u64| crate::OobTag::live(Lba::new(l), SimTime::ZERO);
-        d.program_tagged(Ppa::new(0), Bytes::from_static(b"a"), tag(0))
-            .unwrap();
-        d.program_tagged(Ppa::new(1), Bytes::from_static(b"b"), tag(1))
-            .unwrap();
-        let full = d.scan_oob(None, 1).unwrap();
-        let baseline: Vec<ScanBaseline> = full
-            .blocks
-            .iter()
-            .map(|b| ScanBaseline {
-                erase_count: b.erase_count,
-                programmed: b.scanned_to,
-            })
-            .collect();
-        // Tail write in block 0, and block 1 erased+rewritten.
-        d.program_tagged(Ppa::new(2), Bytes::from_static(b"c"), tag(2))
-            .unwrap();
-        let ppb = u64::from(d.geometry().pages_per_block());
-        d.program_tagged(Ppa::new(ppb), Bytes::from_static(b"d"), tag(3))
-            .unwrap();
-        d.erase(Pba::new(1)).unwrap();
-        d.program_tagged(Ppa::new(ppb), Bytes::from_static(b"e"), tag(4))
-            .unwrap();
-        let tail = d.scan_oob(Some(&baseline), 1).unwrap();
-        assert_eq!(tail.blocks[0].start, 2, "block 0 scans only its tail");
-        assert!(!tail.blocks[0].rescanned);
-        assert_eq!(tail.blocks[0].records.len(), 1);
-        assert_eq!(tail.blocks[0].records[0].1.lba, Lba::new(2));
-        assert!(
-            tail.blocks[1].rescanned,
-            "erased block forces a full rescan"
-        );
-        assert_eq!(tail.blocks[1].start, 0);
-        assert_eq!(tail.blocks[1].records[0].1.lba, Lba::new(4));
-        assert_eq!(tail.pages_scanned, 2);
-    }
-
-    #[test]
-    fn ckpt_slots_survive_power_cut_and_tear_on_mid_write_cut() {
-        let mut d = dev();
-        d.ckpt_erase(0).unwrap();
-        d.ckpt_append(0, Bytes::from_static(b"page0")).unwrap();
-        d.ckpt_append(0, Bytes::from_static(b"page1")).unwrap();
-        // Cut power in the middle of writing slot 1: erase lands, only one
-        // of two pages does.
-        let mut plan = FaultPlan::new();
-        plan.power_cut_after(3);
-        d.set_fault_plan(plan);
-        d.ckpt_erase(1).unwrap();
-        d.ckpt_append(1, Bytes::from_static(b"new0")).unwrap();
-        assert_eq!(
-            d.ckpt_append(1, Bytes::from_static(b"new1")),
-            Err(NandError::PowerLoss)
-        );
-        assert!(d.is_powered_off());
-        assert_eq!(d.ckpt_read(0), Err(NandError::PowerLoss));
-        assert_eq!(d.scan_oob(None, 1), Err(NandError::PowerLoss));
-        d.power_cut();
-        // The old checkpoint survived intact; the torn one holds a prefix.
-        assert_eq!(d.ckpt_read(0).unwrap().len(), 2);
-        assert_eq!(d.ckpt_peek(1), &[Bytes::from_static(b"new0")]);
-        assert_eq!(d.stats().injected_faults, 1);
-    }
-
-    #[test]
-    fn ckpt_pages_are_bounded_by_page_size() {
-        let g = Geometry::builder().page_size(4).build();
-        let mut d = NandDevice::new(NandConfig::new(g));
-        assert!(matches!(
-            d.ckpt_append(0, Bytes::from_static(b"12345")),
-            Err(NandError::PayloadTooLarge { .. })
-        ));
     }
 
     #[test]
