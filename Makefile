@@ -5,11 +5,11 @@
 #   make ci          — the full offline CI gate (what .github/workflows/ci.yml
 #                      runs): tier1, rustfmt check, clippy over all targets,
 #                      bounded crash-sweep / latency / multitenant /
-#                      steady-state / ROC smoke runs
-#                      (env bounds below; smoke JSON goes to target/ci/, never
-#                      touching the committed artifacts), bench_check
-#                      validating the schema and headline ratios of every
-#                      committed BENCH_*.json and of the four fresh smoke
+#                      steady-state / ROC smoke runs and a full GC bench
+#                      (~20 s) (env bounds below; smoke JSON goes to
+#                      target/ci/, never touching the committed artifacts),
+#                      bench_check validating the schema and headline ratios
+#                      of every committed BENCH_*.json and of the five fresh
 #                      artifacts in target/ci/, then a build + self-test of the
 #                      end-to-end benchmark in e2ebench/ (its own Cargo
 #                      workspace, so nothing else compiles it). No network
@@ -22,7 +22,9 @@
 #                      throughput, interval vs legacy table, three traces).
 #   make bench-gc    — regenerate BENCH_gc.json (aged-drive GC victim
 #                      selection, incremental index vs legacy scan, plus the
-#                      trace-replay victim-sequence oracle).
+#                      trace-replay victim-sequence oracle with each replay's
+#                      host pages written and NAND programs; bench_check
+#                      gates the random-mixed replay's write amplification).
 #   make crash-sweep — exhaustive stride-1 power-loss sweep: every
 #                      program/erase boundary of three traces on both FTLs,
 #                      plus the filesystem attack/crash/rollback scenario.
@@ -97,10 +99,12 @@ ci: tier1
 	$(CI_MT_ENV) $(CARGO) run --release -p insider-bench --bin bench_multitenant target/ci/BENCH_multitenant.json
 	$(CARGO) run --release -p insider-bench --bin bench_steady target/ci/BENCH_steady.json
 	$(CI_ROC_ENV) $(CARGO) run --release -p insider-bench --bin bench_roc target/ci/BENCH_roc.json
+	$(CARGO) run --release -p insider-bench --bin bench_gc target/ci/BENCH_gc.json
 	$(CARGO) run --release -p insider-bench --bin bench_check
 	$(CARGO) run --release -p insider-bench --bin bench_check -- \
 		target/ci/BENCH_latency.json target/ci/BENCH_multitenant.json \
-		target/ci/BENCH_steady.json target/ci/BENCH_roc.json
+		target/ci/BENCH_steady.json target/ci/BENCH_roc.json \
+		target/ci/BENCH_gc.json
 	$(CARGO) test --release --offline --manifest-path e2ebench/Cargo.toml
 
 test:

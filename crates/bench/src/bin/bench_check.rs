@@ -10,7 +10,9 @@
 //! * detect: interval table at least as fast as the naive layout on every
 //!   trace, and >= [`DETECT_HEADLINE_MIN`]x on the best one.
 //! * gc: indexed victim selection >= [`GC_SPEEDUP_MIN`]x the legacy scan on
-//!   both FTLs, and the trace-replay victim sequences byte-identical.
+//!   both FTLs, the trace-replay victim sequences byte-identical, and the
+//!   random-mixed replay's write amplification (NAND programs per host
+//!   page written) at most [`GC_REPLAY_WAF_MAX`].
 //! * latency: zero-copy never slower than the copying payload path.
 //! * multitenant: the shard curve is present and strictly increasing.
 //! * steady: incremental GC + erase-suspend cuts the foreground write p99
@@ -37,6 +39,10 @@ use std::path::{Path, PathBuf};
 
 const DETECT_HEADLINE_MIN: f64 = 10.0;
 const GC_SPEEDUP_MIN: f64 = 5.0;
+/// Ceiling on the random-mixed trace replay's write amplification. The
+/// score-first victim rule measures 5.4; ordering chips by dryness before
+/// score measured 28.3.
+const GC_REPLAY_WAF_MAX: f64 = 7.0;
 const STEADY_P99_RATIO_MIN: f64 = 2.0;
 const STEADY_THROUGHPUT_MIN: f64 = 0.9;
 /// The paper reports FRR 0 % on known classes; anything below 1.0 means a
@@ -220,6 +226,47 @@ fn check_gc(doc: &Value, errors: &mut Vec<Violation>) {
                 format!("trace_oracle.{i}: victim sequences diverged between selectors"),
             ));
         }
+        let host = need_f64(
+            doc,
+            &format!("trace_oracle.{i}.host_pages_written"),
+            name,
+            errors,
+        );
+        let programs = need_f64(
+            doc,
+            &format!("trace_oracle.{i}.nand_programs"),
+            name,
+            errors,
+        );
+        if get(t, "trace").and_then(as_str) != Some("random-mixed") {
+            continue;
+        }
+        if let (Some(host), Some(programs)) = (host, programs) {
+            // A replay that wrote nothing has no WAF to gate: fail it too.
+            let waf = if host > 0.0 {
+                programs / host
+            } else {
+                f64::INFINITY
+            };
+            if waf > GC_REPLAY_WAF_MAX {
+                errors.push(Violation(
+                    name.into(),
+                    format!(
+                        "trace_oracle.{i}: random-mixed replay WAF {waf:.2} above the \
+                         {GC_REPLAY_WAF_MAX} ceiling"
+                    ),
+                ));
+            }
+        }
+    }
+    if !oracle
+        .iter()
+        .any(|t| get(t, "trace").and_then(as_str) == Some("random-mixed"))
+    {
+        errors.push(Violation(
+            name.into(),
+            "trace_oracle: no random-mixed replay to gate".into(),
+        ));
     }
 }
 

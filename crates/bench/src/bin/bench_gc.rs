@@ -77,23 +77,29 @@ fn bench_aged(insider: bool) -> (serde_json::Value, f64) {
 
 /// Replays one trace on a 90 %-prefilled insider FTL under each selector
 /// and compares the complete victim sequences and (timing-less) stats.
+/// Also records the replay's own host pages written and NAND programs
+/// (prefill excluded), whose ratio is the replay's write amplification.
 fn trace_oracle(name: &str, trace: &Trace) -> serde_json::Value {
-    let run = |indexed: bool| -> (Vec<GcVictim>, FtlStats) {
+    let run = |indexed: bool| -> (Vec<GcVictim>, FtlStats, u64, u64) {
         let cfg = FtlConfig::new(replay_geometry())
             .gc_policy(GcPolicy::Greedy)
             .gc_victim_index(indexed)
             .record_gc_victims(true);
         let mut ftl = InsiderFtl::new(cfg);
         prefill_ftl(&mut ftl, 0.9);
+        let host_before = ftl.stats().host_writes;
+        let programs_before = ftl.nand_stats().programs;
         let outcome = replay_ftl(trace, &mut ftl);
         assert_eq!(outcome.skipped, 0, "{name} must fit the replay drive");
         let mut stats = *ftl.stats();
         stats.gc_ns = 0;
-        (ftl.gc_victims().to_vec(), stats)
+        let host_pages = stats.host_writes - host_before;
+        let programs = ftl.nand_stats().programs - programs_before;
+        (ftl.gc_victims().to_vec(), stats, host_pages, programs)
     };
     eprintln!("bench_gc: trace oracle — {name} ({} requests)", trace.len());
-    let (victims_indexed, stats_indexed) = run(true);
-    let (victims_legacy, stats_legacy) = run(false);
+    let (victims_indexed, stats_indexed, host_pages, programs) = run(true);
+    let (victims_legacy, stats_legacy, ..) = run(false);
     let identical = victims_indexed == victims_legacy && stats_indexed == stats_legacy;
     assert!(
         identical,
@@ -102,7 +108,8 @@ fn trace_oracle(name: &str, trace: &Trace) -> serde_json::Value {
         victims_legacy.len()
     );
     println!(
-        "{name:>16}: {} victims, sequences identical",
+        "{name:>16}: {} victims, sequences identical, {host_pages} host pages, \
+         {programs} NAND programs",
         victims_indexed.len()
     );
     json!({
@@ -110,6 +117,8 @@ fn trace_oracle(name: &str, trace: &Trace) -> serde_json::Value {
         "victims": victims_indexed.len() as u64,
         "gc_invocations": stats_indexed.gc_invocations,
         "gc_page_copies": stats_indexed.gc_page_copies,
+        "host_pages_written": host_pages,
+        "nand_programs": programs,
         "victims_identical": identical,
     })
 }

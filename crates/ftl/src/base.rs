@@ -20,12 +20,11 @@ use std::time::Instant;
 /// `buckets[chip][reclaimable]`, ordered by a policy-dependent tie-break
 /// key: the raw block index for greedy (reproducing the legacy scan's
 /// first-strict-max order) and the block's open epoch for the age-based
-/// policies. Candidates are bucketed *per chip* because erased blocks
-/// refill that chip's free pool alone: programs cannot cross dies, so a
-/// globally-best victim on an already-full chip does nothing for a dry
-/// one. Selection queries one chip at a time (see
-/// [`FtlBase::select_victim`] for the dryest-chip ordering). Within a
-/// chip, one structure serves all three policies *exactly*:
+/// policies. Candidates are bucketed *per chip* because the cross-chip
+/// rule breaks exact score ties by chip dryness (see
+/// [`FtlBase::select_victim`]), so selection needs each chip's best
+/// candidate and its score. Within a chip, one structure serves all three
+/// policies *exactly*, scoring with the legacy scan's `f64` expressions:
 ///
 /// * **Greedy** — head of the highest non-empty bucket, O(1) amortized via
 ///   the lazily lowered `max_r` hint.
@@ -38,9 +37,10 @@ use std::time::Instant;
 ///   argmax is found by scoring one head per bucket with the same `f64`
 ///   expression the legacy scan evaluates, keeping scores bit-identical.
 ///
-/// Updates (re-filing one block) are O(log B); per-chip selection is O(1)
-/// for greedy and O(P) for the age-based policies, where P = pages per
-/// block — versus the legacy scan's O(B) with B = total blocks.
+/// Updates (re-filing one block) are O(log B); selection is O(C) for
+/// greedy and O(C·P) for the age-based policies, where C = chips and
+/// P = pages per block — versus the legacy scan's O(B) with B = total
+/// blocks.
 #[derive(Debug)]
 struct VictimIndex {
     /// `buckets[chip][reclaimable]` → candidates on that chip.
@@ -104,16 +104,19 @@ impl VictimIndex {
         }
     }
 
-    /// Most reclaimable pages on `chip`, lowest block index on ties.
-    fn best_greedy(&mut self, chip: usize) -> Option<u32> {
+    /// Most reclaimable pages on `chip`, lowest block index on ties;
+    /// scored by the reclaimable count.
+    fn best_greedy(&mut self, chip: usize) -> Option<(u32, f64)> {
         self.settle(chip);
-        self.buckets[chip][self.max_r[chip]]
+        let r = self.max_r[chip];
+        self.buckets[chip][r]
             .first()
-            .map(|&(_, raw)| raw)
+            .map(|&(_, raw)| (raw, r as f64))
     }
 
-    /// Oldest open epoch among `chip`'s candidates (epochs are unique).
-    fn best_fifo(&mut self, chip: usize) -> Option<u32> {
+    /// Oldest open epoch among `chip`'s candidates (epochs are unique);
+    /// scored by the negated epoch.
+    fn best_fifo(&mut self, chip: usize) -> Option<(u32, f64)> {
         self.settle(chip);
         self.buckets[chip]
             .iter()
@@ -121,12 +124,12 @@ impl VictimIndex {
             .take(self.max_r[chip])
             .filter_map(BTreeSet::first)
             .min_by_key(|&&(epoch, _)| epoch)
-            .map(|&(_, raw)| raw)
+            .map(|&(epoch, raw)| (raw, -(epoch as f64)))
     }
 
     /// Exact cost-benefit argmax over `chip`'s bucket heads, scored with
     /// the legacy scan's expression and its lowest-block tie-break.
-    fn best_cost_benefit(&mut self, chip: usize, next_epoch: u64, ppb: u32) -> Option<u32> {
+    fn best_cost_benefit(&mut self, chip: usize, next_epoch: u64, ppb: u32) -> Option<(u32, f64)> {
         self.settle(chip);
         let mut best: Option<(u32, f64)> = None;
         for (r, bucket) in self.buckets[chip]
@@ -149,7 +152,7 @@ impl VictimIndex {
                 best = Some((raw, score));
             }
         }
-        best.map(|(raw, _)| raw)
+        best
     }
 }
 
@@ -1177,17 +1180,18 @@ impl FtlBase {
     /// active and retired-bad blocks), or `None` when nothing is
     /// reclaimable.
     ///
-    /// Selection is **die-balanced**: chips are tried from driest (fewest
-    /// free blocks, lowest index on ties) to wettest, and the policy picks
-    /// within the first chip that has any candidate. An erased victim
-    /// refills only its own chip's free pool — programs cannot cross dies
-    /// — so a globally-greedy pick starves every other die: hot
-    /// overwrites concentrate invalidations on the chip currently being
-    /// written, global-best victims land there too, and the allocator's
-    /// round-robin collapses onto one die (serializing the host stream
-    /// behind that die's erases). Preferring the driest chip keeps all
-    /// dies writable; on single-chip geometries the rule degenerates to
-    /// the plain global policy.
+    /// The rule is **score first, balance second**: the policy's
+    /// best-scoring candidate over the whole drive wins; an exact score tie
+    /// goes to the chip with the fewest free blocks, then to the lowest
+    /// chip index; within a chip, the policy's own tie-break (lowest block
+    /// index, or oldest epoch) stands. The dryness tie-break matters because
+    /// an erased victim refills only its own chip's free pool — programs
+    /// cannot cross dies — and under hot overwrites many chips hold
+    /// equally empty victims: taking the lowest chip index there would pile
+    /// the erases onto one die and serialize the host stream behind it
+    /// (DESIGN.md §13). Ordering chips by dryness *before* score collapses
+    /// the other way: the driest chip's best victim is often nearly full
+    /// of valid pages, so GC copies far more than it frees.
     ///
     /// Dispatches to the incremental index or the legacy scan per
     /// `FtlConfig::gc_victim_index`; debug builds run *both* selectors on
@@ -1216,37 +1220,46 @@ impl FtlBase {
         }
     }
 
-    /// Chips ordered driest first: ascending free-pool depth, ascending
-    /// chip index on ties. Both selectors share this ordering.
-    fn chips_driest_first(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.free.len()).collect();
-        order.sort_by_key(|&chip| (self.free[chip].len(), chip));
-        order
+    /// The cross-chip rule both selectors share: given each chip's best
+    /// candidate `(raw, score)`, in ascending chip order, returns the
+    /// highest score, breaking exact ties by the driest chip and then by
+    /// the lowest chip index (the first one seen).
+    fn best_across_chips(
+        free: &[VecDeque<Pba>],
+        per_chip: impl IntoIterator<Item = (usize, Option<(u32, f64)>)>,
+    ) -> Option<Pba> {
+        let mut best: Option<(usize, u32, f64)> = None;
+        for (chip, pick) in per_chip {
+            let Some((raw, score)) = pick else {
+                continue;
+            };
+            let better = best.is_none_or(|(best_chip, _, s)| {
+                score > s || (score == s && free[chip].len() < free[best_chip].len())
+            });
+            if better {
+                best = Some((chip, raw, score));
+            }
+        }
+        best.map(|(_, raw, _)| Pba::new(raw))
     }
 
-    /// Index-backed victim selection: per candidate chip, O(1) for greedy,
-    /// O(pages-per-block) for the age-based policies. Single-chip
-    /// geometries skip the chip ordering entirely (driest-first over one
-    /// chip is the identity).
+    /// Index-backed victim selection: each chip's best candidate comes
+    /// from its buckets (O(1) for greedy, O(pages-per-block) for the
+    /// age-based policies), then [`Self::best_across_chips`] picks one.
     fn select_victim_indexed(&mut self) -> Option<Pba> {
         let ppb = self.config.geometry().pages_per_block();
         let policy = self.config.gc_policy_ref();
-        let pick = |victims: &mut VictimIndex, chip: usize| match policy {
-            GcPolicy::Greedy => victims.best_greedy(chip),
-            GcPolicy::Fifo => victims.best_fifo(chip),
-            GcPolicy::CostBenefit => victims.best_cost_benefit(chip, self.next_epoch, ppb),
-        };
-        if self.free.len() == 1 {
-            return pick(&mut self.victims, 0).map(Pba::new);
-        }
-        let mut order: Vec<usize> = (0..self.free.len()).collect();
-        order.sort_unstable_by_key(|&chip| (self.free[chip].len(), chip));
-        for chip in order {
-            if let Some(raw) = pick(&mut self.victims, chip) {
-                return Some(Pba::new(raw));
-            }
-        }
-        None
+        let next_epoch = self.next_epoch;
+        let victims = &mut self.victims;
+        let per_chip = (0..self.free.len()).map(|chip| {
+            let pick = match policy {
+                GcPolicy::Greedy => victims.best_greedy(chip),
+                GcPolicy::Fifo => victims.best_fifo(chip),
+                GcPolicy::CostBenefit => victims.best_cost_benefit(chip, next_epoch, ppb),
+            };
+            (chip, pick)
+        });
+        Self::best_across_chips(&self.free, per_chip)
     }
 
     /// Legacy O(total-blocks) scan — the differential oracle for the index.
@@ -1257,9 +1270,8 @@ impl FtlBase {
         let ppb = g.pages_per_block();
         let bpc = g.blocks_per_chip();
         let policy = self.config.gc_policy_ref();
-        let mut best: Vec<Option<(Pba, f64)>> = vec![None; self.free.len()];
+        let mut best: Vec<Option<(u32, f64)>> = vec![None; self.free.len()];
         for raw in 0..g.total_blocks() {
-            let pba = Pba::new(raw);
             if self.active_flags[raw as usize]
                 || self.free_flags[raw as usize]
                 || self.bad_flags[raw as usize]
@@ -1288,13 +1300,10 @@ impl FtlBase {
             };
             let chip = (raw / bpc) as usize;
             if best[chip].is_none_or(|(_, s)| score > s) {
-                best[chip] = Some((pba, score));
+                best[chip] = Some((raw, score));
             }
         }
-        self.chips_driest_first()
-            .into_iter()
-            .find_map(|chip| best[chip])
-            .map(|(pba, _)| pba)
+        Self::best_across_chips(&self.free, best.into_iter().enumerate())
     }
 
     /// Collects one victim. Each page is migrated *atomically* (copy,
@@ -2010,6 +2019,70 @@ mod tests {
         let (v_scan, s_scan) = run(false);
         assert_eq!(v_indexed, v_scan);
         assert_eq!(s_indexed, s_scan);
+    }
+
+    /// Four chips of four 8-page blocks, every block free: the comparator
+    /// cases below close chosen blocks by hand.
+    fn four_chip_base() -> FtlBase {
+        let g = Geometry::builder()
+            .chips_per_channel(4)
+            .blocks_per_chip(4)
+            .pages_per_block(8)
+            .build();
+        FtlBase::new(FtlConfig::new(g))
+    }
+
+    /// Takes free block `raw` out of its chip's pool as a closed block with
+    /// `invalid` reclaimable pages (zero: not a candidate, just one free
+    /// block fewer on that chip).
+    fn close_with_invalid(b: &mut FtlBase, raw: u32, invalid: u32) {
+        let chip = (raw / b.config.geometry().blocks_per_chip()) as usize;
+        b.free[chip].retain(|pba| pba.index() != raw);
+        b.free_flags[raw as usize] = false;
+        b.free_count -= 1;
+        b.invalid_per_block[raw as usize] = invalid;
+        b.refresh_victim(raw);
+    }
+
+    /// Both selectors must agree on the pick, and it must be `expected`.
+    fn assert_pick(b: &mut FtlBase, expected: u32) {
+        let scanned = b.select_victim_scan(None);
+        assert_eq!(b.select_victim_indexed(), scanned, "selectors diverged");
+        assert_eq!(scanned, Some(Pba::new(expected)));
+    }
+
+    #[test]
+    fn higher_score_on_a_wetter_chip_beats_a_drier_chip() {
+        let mut b = four_chip_base();
+        // Chip 0 keeps 1 free block and offers 3 reclaimable pages; chip 1
+        // keeps 3 free blocks and offers 5.
+        close_with_invalid(&mut b, 0, 3);
+        close_with_invalid(&mut b, 1, 0);
+        close_with_invalid(&mut b, 2, 0);
+        close_with_invalid(&mut b, 4, 5);
+        assert_pick(&mut b, 4);
+    }
+
+    #[test]
+    fn equal_scores_go_to_the_driest_chip() {
+        let mut b = four_chip_base();
+        // Chip 0 keeps 3 free blocks, chip 2 keeps 2; both offer 4 pages.
+        close_with_invalid(&mut b, 0, 4);
+        close_with_invalid(&mut b, 8, 4);
+        close_with_invalid(&mut b, 9, 0);
+        assert_pick(&mut b, 8);
+    }
+
+    #[test]
+    fn equal_scores_and_dryness_go_to_the_lowest_chip() {
+        let mut b = four_chip_base();
+        // Chips 1 and 3 both keep 3 free blocks and offer 4 pages; chip 0
+        // is drier but offers less.
+        close_with_invalid(&mut b, 12, 4);
+        close_with_invalid(&mut b, 4, 4);
+        close_with_invalid(&mut b, 0, 2);
+        close_with_invalid(&mut b, 1, 0);
+        assert_pick(&mut b, 4);
     }
 
     /// Hot/cold churn through the configured GC engine (blocking or
