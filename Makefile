@@ -39,9 +39,11 @@
 #                      MT_WORKERS / MT_REPEATS override the sweep).
 #   make bench-steady — regenerate BENCH_steady.json (steady-state foreground
 #                      p50/p95/p99 under sustained hot churn at ~90 %
-#                      utilization: blocking GC vs incremental GC with
-#                      erase-suspend vs incremental + write pacing, identical
-#                      streams, final contents differentially verified;
+#                      utilization: blocking GC (pinned off the drive's
+#                      incremental + erase-suspend defaults) vs incremental
+#                      GC with erase-suspend vs incremental + write pacing,
+#                      identical streams, final contents differentially
+#                      verified;
 #                      STEADY_WRITES / STEADY_HOT_SPAN / STEADY_INTERARRIVAL_US
 #                      / STEADY_WINDOW_MS override the trace. Tier 1 runs the
 #                      bounded steady_smoke test instead; bench_check gates

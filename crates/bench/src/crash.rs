@@ -127,6 +127,10 @@ impl SweepConfig {
                 .gc_step_pages(1)
                 .scheduler(insider_nand::SchedMode::OutOfOrder)
                 .erase_suspend(true);
+        } else {
+            // The drive's defaults are incremental: pin the blocking
+            // collector so the default matrix still covers it.
+            cfg = cfg.incremental_gc(false).erase_suspend(false);
         }
         cfg
     }

@@ -167,7 +167,9 @@ impl SteadyParams {
             .over_provisioning(0.25)
             .protection_window(self.window)
             .scheduler(SchedMode::OutOfOrder);
-        if arm != SteadyArm::Blocking {
+        if arm == SteadyArm::Blocking {
+            ftl = ftl.incremental_gc(false).erase_suspend(false);
+        } else {
             ftl = ftl
                 .incremental_gc(true)
                 .gc_low_water_extra(self.gc_low_water_extra)

@@ -954,7 +954,7 @@ impl FtlBase {
             if self.free_count < target {
                 // Below the blocking trigger nothing reclaimable is the
                 // same hard error the blocking collector reports.
-                if !self.start_reclaim_job(queue.as_deref()) {
+                if !self.start_reclaim_job(queue.as_deref(), false) {
                     return Err(FtlError::NoReclaimableSpace);
                 }
                 continue;
@@ -972,8 +972,9 @@ impl FtlBase {
                 continue;
             }
             // Above target but below the low watermark: proactive top-up,
-            // stopping quietly when nothing is reclaimable.
-            if self.free_count < low && self.start_reclaim_job(queue.as_deref()) {
+            // stopping quietly when no victim is worth it (see
+            // `start_reclaim_job`).
+            if self.free_count < low && self.start_reclaim_job(queue.as_deref(), true) {
                 continue;
             }
             break;
@@ -984,7 +985,14 @@ impl FtlBase {
     /// Selects a reclaim victim and opens a job for it; `false` when
     /// nothing is reclaimable. The victim is logged at selection time, so
     /// the victim log stays comparable with the blocking collector's.
-    fn start_reclaim_job(&mut self, queue: Option<&RecoveryQueue>) -> bool {
+    ///
+    /// A `top_up` job is optional work (the pool is still above the
+    /// blocking trigger), so it opens only on a victim that holds no
+    /// protected pages and has at least half a block reclaimable — one
+    /// that frees at least as many pages as it copies. Copying backups
+    /// still inside the protection window early only burns the free space
+    /// it was meant to make and feeds a GC spiral (DESIGN.md §13).
+    fn start_reclaim_job(&mut self, queue: Option<&RecoveryQueue>, top_up: bool) -> bool {
         debug_assert!(
             self.gc_job.is_none(),
             "victim selection must not run with a job pending"
@@ -992,6 +1000,13 @@ impl FtlBase {
         let Some(victim) = self.select_victim(queue) else {
             return false;
         };
+        if top_up {
+            let raw = victim.index() as usize;
+            let half_block = self.config.geometry().pages_per_block() / 2;
+            if self.protected_per_block[raw] > 0 || self.invalid_per_block[raw] < half_block {
+                return false;
+            }
+        }
         self.log_victim(GcVictimKind::Reclaim, victim);
         self.gc_job = Some(GcJob {
             victim,
@@ -2114,12 +2129,11 @@ mod tests {
         // (modulo the wall-clock timer and the step counters), same
         // physical mapping.
         let run = |incremental: bool| {
-            let mut cfg = FtlConfig::new(Geometry::tiny()).record_gc_victims(true);
+            let mut cfg = FtlConfig::new(Geometry::tiny())
+                .incremental_gc(incremental)
+                .record_gc_victims(true);
             if incremental {
-                cfg = cfg
-                    .incremental_gc(true)
-                    .gc_low_water_extra(0)
-                    .gc_step_pages(u32::MAX);
+                cfg = cfg.gc_low_water_extra(0).gc_step_pages(u32::MAX);
             }
             let mut b = FtlBase::new(cfg);
             churn_mixed(&mut b, 600);
@@ -2243,6 +2257,131 @@ mod tests {
         assert!(pause.max_ns > 0);
         assert!(pause.p99_ns >= pause.p50_ns);
         assert!(pause.max_ns >= pause.p99_ns);
+    }
+
+    /// One tiny-geometry drive (16 blocks of 16 pages) staged for the
+    /// top-up gate: block 0 holds `invalid` superseded pages, the first
+    /// `protected` of them still inside the protection window, and cold
+    /// fill leaves exactly 3 free blocks — above the blocking trigger
+    /// (reserve 2) but below the low watermark (4), so a plain
+    /// `gc_before_write(0, ..)` may only top up.
+    fn stage_top_up(invalid: u64, protected: u64) -> (FtlBase, RecoveryQueue) {
+        let mut b = FtlBase::new(FtlConfig::new(Geometry::tiny()).record_gc_victims(true));
+        let mut q = RecoveryQueue::with_block_size(16);
+        for l in 0..16u64 {
+            b.program_mapped(Lba::new(l), Bytes::from_static(b"v1"), SimTime::ZERO)
+                .unwrap();
+        }
+        for l in 0..invalid {
+            let old = b
+                .program_mapped(Lba::new(l), Bytes::from_static(b"v2"), SimTime::ZERO)
+                .unwrap()
+                .expect("page was mapped");
+            b.invalidate(old).unwrap();
+            if l < protected {
+                q.push(Lba::new(l), Some(old), SimTime::ZERO);
+                b.note_protected(old);
+            }
+        }
+        let mut l = 16u64;
+        while b.free_blocks() > 3 {
+            b.program_mapped(Lba::new(l), Bytes::from_static(b"cold"), SimTime::ZERO)
+                .unwrap();
+            l += 1;
+        }
+        assert_eq!(b.free_blocks(), 3);
+        (b, q)
+    }
+
+    /// Whether one `gc_before_write` of `pages` opened a reclaim job on
+    /// block 0 (the victim log records selections as jobs open).
+    fn collects_block_zero(b: &mut FtlBase, q: &mut RecoveryQueue, pages: u64) -> bool {
+        b.gc_before_write(pages, Some(q)).unwrap();
+        match b.gc_victims() {
+            [] => false,
+            [v] => {
+                assert_eq!(v.block, 0, "block 0 is the only candidate");
+                true
+            }
+            more => panic!("expected at most one victim, got {more:?}"),
+        }
+    }
+
+    #[test]
+    fn top_up_refuses_a_victim_holding_protected_pages() {
+        // 12 invalid, 2 protected: 10 reclaimable clears the yield bar,
+        // but copying the 2 backups early is what feeds the GC spiral.
+        let (mut b, mut q) = stage_top_up(12, 2);
+        assert!(!collects_block_zero(&mut b, &mut q, 0));
+        assert!(!b.gc_job_pending());
+        assert_eq!(b.free_blocks(), 3);
+        assert_eq!(b.stats.gc_protected_copies, 0);
+    }
+
+    #[test]
+    fn top_up_refuses_a_victim_below_half_a_block_reclaimable() {
+        // 7 of 16 pages reclaimable: the job would copy 9 to free 7.
+        let (mut b, mut q) = stage_top_up(7, 0);
+        assert!(!collects_block_zero(&mut b, &mut q, 0));
+        assert_eq!(b.stats.gc_invocations, 0);
+        // Exactly half a block clears the bar.
+        let (mut b, mut q) = stage_top_up(8, 0);
+        assert!(collects_block_zero(&mut b, &mut q, 0));
+    }
+
+    #[test]
+    fn below_the_target_the_refused_victims_are_still_collected() {
+        // Two blocks of demand lift the blocking trigger to 4 free blocks,
+        // above the staged 3: collection is now required, not optional,
+        // and takes the victim the top-up just refused.
+        for (invalid, protected) in [(12, 2), (7, 0)] {
+            let (mut b, mut q) = stage_top_up(invalid, protected);
+            assert!(!collects_block_zero(&mut b, &mut q, 0));
+            assert!(collects_block_zero(&mut b, &mut q, 32));
+            b.gc_drain_job(Some(&mut q)).unwrap();
+            assert_eq!(b.stats.gc_invocations, 1);
+            assert_eq!(b.stats.gc_protected_copies, protected);
+            for l in 0..16u64 {
+                let want: &[u8] = if l < invalid { b"v2" } else { b"v1" };
+                assert_eq!(b.read_mapped(Lba::new(l)).unwrap().unwrap().as_ref(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn top_up_copies_no_more_backups_than_the_blocking_collector() {
+        // Trim-heavy churn over 120 of the drive's 208 logical pages, 200
+        // operations per 10 s window, so most superseded pages are still
+        // protected when GC runs. The blocking collector copies backups
+        // only when it must; an ungated top-up would copy them early and
+        // often.
+        use crate::{Ftl, InsiderFtl};
+        let run = |incremental: bool| {
+            let mut f =
+                InsiderFtl::new(FtlConfig::new(Geometry::tiny()).incremental_gc(incremental));
+            let mut now = SimTime::from_secs(1);
+            let mut x = 7u64;
+            for i in 0..2_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let lba = Lba::new((x >> 33) % 120);
+                if i % 3 == 2 {
+                    f.trim(lba, now).unwrap();
+                } else {
+                    f.write(lba, Bytes::from_static(b"churn"), now).unwrap();
+                }
+                now += SimTime::from_millis(50);
+            }
+            f.stats().gc_protected_copies
+        };
+        let blocking = run(false);
+        let incremental = run(true);
+        assert!(blocking > 0, "the churn must force backup copies");
+        assert!(
+            incremental <= blocking,
+            "incremental engine copied {incremental} backups, blocking {blocking}"
+        );
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl FtlConfig {
             gc_victim_index: true,
             record_gc_victims: false,
             copy_payloads: false,
-            incremental_gc: false,
+            incremental_gc: true,
             gc_low_water_extra: 2,
             gc_step_pages: 4,
             write_pacing_pages_per_sec: 0,
@@ -213,12 +213,15 @@ impl FtlConfig {
         self.copy_payloads
     }
 
-    /// Switches garbage collection from stop-the-world bursts to the
+    /// Selects the garbage-collection engine. `true` (the default) is the
     /// incremental background engine: foreground writes pump a resumable
     /// `GcJob` in small budgeted steps once the free pool sinks below the
     /// low watermark (reserve + [`gc_low_water_extra`]), with an urgency
-    /// ramp and a blocking fallback at reserve exhaustion. Off by default —
-    /// the blocking path stays byte-identical to earlier behavior.
+    /// ramp and a blocking fallback at reserve exhaustion. Above the
+    /// blocking trigger it only tops up from victims that hold no
+    /// protected pages and free at least half a block. `false` selects the
+    /// stop-the-world collector, kept as the differential oracle and the
+    /// benchmarks' blocking baseline.
     ///
     /// [`gc_low_water_extra`]: Self::gc_low_water_extra
     pub fn incremental_gc(mut self, enabled: bool) -> Self {
@@ -267,7 +270,8 @@ impl FtlConfig {
     /// Enables erase-suspend/resume in the NAND scheduler: an out-of-order
     /// read arriving while an erase is mid-pulse on its die preempts it
     /// (never an erase of the read's own block) at a 50 µs resume penalty.
-    /// Timing only; off by default.
+    /// Timing only; on by default, `false` restores run-to-completion
+    /// erases.
     pub fn erase_suspend(mut self, enabled: bool) -> Self {
         self.nand = self.nand.erase_suspend(enabled);
         self
@@ -438,16 +442,16 @@ mod tests {
     }
 
     #[test]
-    fn incremental_gc_knobs_default_off_and_are_settable() {
+    fn incremental_gc_knobs_default_on_and_are_settable() {
         let cfg = FtlConfig::new(Geometry::tiny());
-        assert!(!cfg.incremental_gc_enabled());
+        assert!(cfg.incremental_gc_enabled());
         assert_eq!(cfg.gc_low_water_extra_blocks(), 2);
         assert_eq!(cfg.gc_step_budget_pages(), 4);
         let cfg = cfg
-            .incremental_gc(true)
+            .incremental_gc(false)
             .gc_low_water_extra(0)
             .gc_step_pages(16);
-        assert!(cfg.incremental_gc_enabled());
+        assert!(!cfg.incremental_gc_enabled());
         assert_eq!(cfg.gc_low_water_extra_blocks(), 0);
         assert_eq!(cfg.gc_step_budget_pages(), 16);
     }
@@ -459,13 +463,15 @@ mod tests {
     }
 
     #[test]
-    fn erase_suspend_passes_through_to_nand() {
+    fn erase_suspend_defaults_on_and_passes_through_to_nand() {
         let cfg = FtlConfig::new(Geometry::tiny());
-        assert!(!cfg.nand().erase_suspend_enabled());
-        let cfg = cfg.erase_suspend(true).max_erase_suspends(2);
+        assert!(cfg.nand().erase_suspend_enabled());
+        assert_eq!(cfg.nand().max_erase_suspends_limit(), 3);
+        let cfg = cfg.max_erase_suspends(2);
         assert!(cfg.nand().erase_suspend_enabled());
         assert_eq!(cfg.nand().erase_resume_latency_ns(), 50_000);
         assert_eq!(cfg.nand().max_erase_suspends_limit(), 2);
+        assert!(!cfg.erase_suspend(false).nand().erase_suspend_enabled());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Differential oracle for the incremental background GC engine.
 //!
-//! The blocking collector (`incremental_gc(false)`, the default) is the
+//! The blocking collector (`incremental_gc(false)`, pinned explicitly in
+//! [`config`] since the incremental engine became the default) is the
 //! ground truth. Two equivalences are proved over random workloads:
 //!
 //! 1. **Degenerate parity** — with the low watermark collapsed onto the
@@ -41,8 +42,11 @@ fn geometry() -> Geometry {
         .build()
 }
 
+/// The blocking reference configuration.
 fn config() -> FtlConfig {
-    FtlConfig::new(geometry()).record_gc_victims(true)
+    FtlConfig::new(geometry())
+        .incremental_gc(false)
+        .record_gc_victims(true)
 }
 
 /// The degenerate incremental configuration: identical trigger points and
@@ -243,7 +247,10 @@ fn deterministic_budgeted_churn_pauses_jobs_and_converges() {
 /// `select_victim` only counts *unprotected* invalid pages, so GC can
 /// only run post-freeze on reclaimable stock built up beforehand. The
 /// pre-attack churn provides that stock on a drive big enough to absorb
-/// the frozen growth.
+/// the frozen growth. The optional top-up above the blocking trigger
+/// refuses victims holding protected pages, and after the freeze every
+/// victim soon holds some; so the staging parks its job in the required
+/// branch instead, by churning the free pool below the blocking trigger.
 #[test]
 fn rollback_mid_gc_job_restores_pre_attack_data() {
     let geometry = Geometry::builder()
@@ -251,13 +258,14 @@ fn rollback_mid_gc_job_restores_pre_attack_data() {
         .pages_per_block(8)
         .page_size(64)
         .build();
-    // A high extra watermark engages the incremental engine long before
-    // the hard floor, so the frozen phase never risks NoReclaimableSpace;
-    // the 1-page step pauses jobs on any victim holding live data.
+    // A zero extra watermark leaves only the required branch: frozen churn
+    // sinks the pool below the trigger, where collection must run, and
+    // the 1-page step (urgency 2 there) pauses jobs on any victim holding
+    // more than two pages to copy.
     let mut f = InsiderFtl::new(
         FtlConfig::new(geometry)
             .incremental_gc(true)
-            .gc_low_water_extra(8)
+            .gc_low_water_extra(0)
             .gc_step_pages(1),
     );
     // The user's data, long before the attack.
@@ -267,6 +275,16 @@ fn rollback_mid_gc_job_restores_pre_attack_data() {
     for (i, page) in precious.iter().enumerate() {
         f.write(Lba::new(i as u64), page.clone(), SimTime::from_secs(1))
             .unwrap();
+    }
+    // Cold data that is never rewritten: it shrinks the garbage stock, so
+    // frozen collection soon reaches victims that still hold pages to copy.
+    for i in 80..180u64 {
+        f.write(
+            Lba::new(i),
+            Bytes::from_static(b"cold"),
+            SimTime::from_secs(1),
+        )
+        .unwrap();
     }
     // Normal-life churn on unrelated LBAs: drains the free pool until the
     // incremental engine runs steadily, and (because old versions expire
@@ -294,8 +312,9 @@ fn rollback_mid_gc_job_restores_pre_attack_data() {
         t += SimTime::from_millis(100);
     }
     f.freeze_retirement(t);
-    // The ransomware keeps churning; GC works the pre-freeze stock until
-    // the 1-page budget leaves a collection job paused mid-block.
+    // The ransomware keeps churning the pool below the blocking trigger;
+    // GC works the pre-freeze stock until the 1-page budget leaves a
+    // required collection job paused mid-block.
     let mut guard = 0u64;
     while !f.gc_job_pending() {
         f.write(churn_lba(guard), Bytes::from_static(b"3ncryp7ed!!!"), t)

@@ -53,7 +53,7 @@ impl NandConfig {
             // NVMe-class default: one submission queue 32 deep.
             queue_depth: 32,
             capture_commands: false,
-            erase_suspend: false,
+            erase_suspend: true,
             max_erase_suspends: 3,
         }
     }
@@ -136,7 +136,8 @@ impl NandConfig {
     /// Enables erase-suspend/resume: in [`SchedMode::OutOfOrder`], a read
     /// arriving while an erase is mid-pulse on its die preempts it (never
     /// an erase of the read's own block) at a 50 µs resume penalty.
-    /// Timing only — data application is unaffected. Off by default.
+    /// Timing only — data application is unaffected. On by default;
+    /// `false` makes every erase run to completion.
     pub fn erase_suspend(mut self, enabled: bool) -> Self {
         self.erase_suspend = enabled;
         self
