@@ -29,6 +29,16 @@
 #                      program/erase boundary of three traces on both FTLs,
 #                      plus the filesystem attack/crash/rollback scenario.
 #                      (Tier 1 runs a strided fast version as a plain test.)
+#   make bench-ab BASE=<rev> PAIRS=N SECONDS=s
+#                    — same-host A/B of the end-to-end benchmark: exports
+#                      BASE (default HEAD) with `git archive` into
+#                      target/bench-ab/base, builds both checkouts'
+#                      e2ebench, runs N (default 10) interleaved base/change
+#                      pairs per workload, seeds 1..N, s (default 10) timed
+#                      seconds each, and prints per end-to-end metric both
+#                      medians and IQRs, the pairs won and a verdict against
+#                      the metric's BENCHMARK.json bound. Fails when a
+#                      metric is worse than its bound or a run is incorrect.
 #   make bench-e2e   — run the end-to-end benchmark (BENCHMARK.json's
 #                      command, e2ebench/) once per workload: aged-churn,
 #                      read-scan, fs-ransom, at seed 1 for BENCHMARK.json's
@@ -85,7 +95,12 @@ CI_ROC_ENV = ROC_TRACES=1
 # The end-to-end benchmark: the command BENCHMARK.json declares.
 E2E = $(CARGO) run --release --quiet --offline --manifest-path e2ebench/Cargo.toml --
 
-.PHONY: tier1 ci test bench bench-json bench-gc crash-sweep bench-multitenant bench-latency bench-roc bench-steady bench-e2e
+# `make bench-ab` inputs.
+BASE ?= HEAD
+PAIRS ?= 10
+SECONDS ?= 10
+
+.PHONY: tier1 ci test bench bench-json bench-gc crash-sweep bench-multitenant bench-latency bench-roc bench-steady bench-e2e bench-ab
 
 tier1:
 	$(CARGO) build --release
@@ -140,3 +155,10 @@ bench-e2e:
 	for w in aged-churn read-scan fs-ransom; do \
 		$(E2E) --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
 	done
+
+bench-ab:
+	rm -rf target/bench-ab/base
+	mkdir -p target/bench-ab/base
+	git archive --format=tar $(BASE) | tar -x -C target/bench-ab/base
+	$(CARGO) run --release -p insider-bench --bin bench_ab -- \
+		--base target/bench-ab/base --pairs $(PAIRS) --seconds $(SECONDS)

@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ab;
 pub mod crash;
 pub mod gc;
 pub mod harness;

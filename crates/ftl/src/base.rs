@@ -291,10 +291,12 @@ pub(crate) struct FtlBase {
     /// `None` on the blocking path). Dropped — not persisted — across a
     /// power cut; the half-migrated victim is simply re-selectable.
     gc_job: Option<GcJob>,
-    /// Per-GC-entry foreground pause histogram: the growth of the device's
-    /// parallel makespan across each GC entry (blocking drain or
-    /// incremental pump) — the device-time stall a collocated host command
-    /// would observe.
+    /// Per-GC-entry device-work histogram: the growth of the device's
+    /// parallel busy makespan across each GC entry (blocking drain or
+    /// incremental pump). It measures how much die time an entry spent,
+    /// not how long the host waited: the pump runs in the idle gap before
+    /// a write, and the host-visible stall is what the scheduler counts in
+    /// `NandStats::{gc_stalled_cmds, gc_stall_ns}`.
     gc_pause_hist: LatencyHistogram,
     pub stats: FtlStats,
     config: FtlConfig,
@@ -416,11 +418,41 @@ impl FtlBase {
     }
 
     /// Advances the device command scheduler's clock to the simulated time
-    /// of the host operation about to run. Every host-facing entry point
-    /// calls this first, so queued commands from earlier operations are
-    /// finalized before new ones are admitted.
+    /// of the host operation about to run, so queued commands from earlier
+    /// operations are finalized before new ones are admitted. Reads, trims
+    /// and mounts call this first; writes advance the clock through
+    /// [`gc_in_idle_gap`](Self::gc_in_idle_gap), after their GC pump.
+    /// Monotone: an earlier instant leaves the clock where it is.
     pub fn set_clock(&mut self, now: SimTime) {
         self.device.set_now(now);
+    }
+
+    /// Runs a host write's GC pump ([`gc_before_write`](Self::gc_before_write))
+    /// in the idle gap before the write, then advances the clock to the
+    /// write's instant `now`.
+    ///
+    /// The pump's commands arrive while the device clock still stands at
+    /// the previous command, raised to `floor`: the newest instant at which
+    /// a recovery-queue entry the pump may rely on was released (the
+    /// conventional FTL passes [`SimTime::ZERO`]). So GC work lands on dies
+    /// that sat idle since the previous command instead of queuing ahead
+    /// of this write's pages, and no GC command precedes the retirement
+    /// that made it possible. Only the clock moves: the pump's decisions —
+    /// victims, copies, erases, OOB records — are the ones it makes at
+    /// `now`. Its one look-ahead is `pages`, the size of the write about to
+    /// arrive. A stop-the-world drain still raises the firmware stall
+    /// horizon, so a drain that runs past `now` delays the write.
+    pub fn gc_in_idle_gap(
+        &mut self,
+        pages: u64,
+        queue: Option<&mut RecoveryQueue>,
+        floor: SimTime,
+        now: SimTime,
+    ) -> Result<()> {
+        self.set_clock(floor.min(now));
+        let result = self.gc_before_write(pages, queue);
+        self.set_clock(now);
+        result
     }
 
     /// Drains the device command scheduler (see [`Ftl::sync`]).
@@ -870,7 +902,10 @@ impl FtlBase {
     /// the incremental engine ([`gc_maintain`](Self::gc_maintain)) when
     /// `FtlConfig::incremental_gc` is on, the classic blocking collector
     /// ([`gc_for_extent`](Self::gc_for_extent)) otherwise. Every host write
-    /// path funnels through here so the two engines are interchangeable.
+    /// path funnels through here, by way of
+    /// [`gc_in_idle_gap`](Self::gc_in_idle_gap), so the two engines are
+    /// interchangeable. Commands are stamped with whatever the device clock
+    /// reads; this function never moves it.
     pub fn gc_before_write(&mut self, pages: u64, queue: Option<&mut RecoveryQueue>) -> Result<()> {
         if self.config.incremental_gc_enabled() {
             self.gc_maintain(pages, queue)
@@ -1089,9 +1124,9 @@ impl FtlBase {
         (((low - self.free_count) as f64) / ((low - 1) as f64)).min(1.0)
     }
 
-    /// Snapshot of the per-GC-entry foreground pause histogram (see the
-    /// `gc_pause_hist` field): how much device makespan each GC entry
-    /// inserted ahead of the foreground.
+    /// Snapshot of the per-GC-entry device-work histogram (see the
+    /// `gc_pause_hist` field): how much busy makespan each GC entry spent.
+    /// The host-visible stall is `NandStats::{gc_stalled_cmds, gc_stall_ns}`.
     pub fn gc_pause_latency(&self) -> KindLatency {
         KindLatency::from_histogram(&self.gc_pause_hist)
     }

@@ -92,8 +92,9 @@ impl ConventionalFtl {
         &self.base.device
     }
 
-    /// Per-GC-entry foreground pause percentiles (device makespan growth
-    /// per GC entry, blocking or incremental).
+    /// Per-GC-entry device-work percentiles (busy-makespan growth per GC
+    /// entry, blocking or incremental); the host-visible GC stall is in
+    /// `NandStats::{gc_stalled_cmds, gc_stall_ns}`.
     pub fn gc_pause_latency(&self) -> insider_nand::KindLatency {
         self.base.gc_pause_latency()
     }
@@ -116,9 +117,8 @@ impl ConventionalFtl {
 
 impl Ftl for ConventionalFtl {
     fn write(&mut self, lba: Lba, data: Bytes, now: SimTime) -> Result<()> {
-        self.base.set_clock(now);
         self.base.check_lba(lba)?;
-        self.base.gc_before_write(0, None)?;
+        self.base.gc_in_idle_gap(0, None, SimTime::ZERO, now)?;
         let old = self.base.program_mapped(lba, data, now)?;
         if let Some(old) = old {
             self.base.invalidate(old)?;
@@ -157,9 +157,9 @@ impl Ftl for ConventionalFtl {
         if data.is_empty() {
             return Ok(());
         }
-        self.base.set_clock(now);
         self.base.check_extent(lba, data.len() as u32)?;
-        self.base.gc_before_write(data.len() as u64, None)?;
+        self.base
+            .gc_in_idle_gap(data.len() as u64, None, SimTime::ZERO, now)?;
         self.base.program_extent_mapped(lba, data, now, None)
     }
 

@@ -45,6 +45,12 @@ pub struct InsiderFtl {
     /// When set, retirement is paused and rollback anchors its window to
     /// this instant (the alarm time) rather than the call time.
     frozen_at: Option<SimTime>,
+    /// The newest instant at which a backup entry's protection was
+    /// released: `stamp + window` for a retired entry, the call time for a
+    /// rollback. A write's GC pump runs in the idle gap before the write
+    /// but never before this instant, because the pump may copy less or
+    /// erase sooner thanks to the release.
+    released_at: SimTime,
 }
 
 impl InsiderFtl {
@@ -56,6 +62,7 @@ impl InsiderFtl {
             queue: RecoveryQueue::with_block_size(ppb),
             read_only: false,
             frozen_at: None,
+            released_at: SimTime::ZERO,
         }
     }
 
@@ -109,8 +116,9 @@ impl InsiderFtl {
         &self.base.device
     }
 
-    /// Per-GC-entry foreground pause percentiles (device makespan growth
-    /// per GC entry, blocking or incremental).
+    /// Per-GC-entry device-work percentiles (busy-makespan growth per GC
+    /// entry, blocking or incremental); the host-visible GC stall is in
+    /// `NandStats::{gc_stalled_cmds, gc_stall_ns}`.
     pub fn gc_pause_latency(&self) -> insider_nand::KindLatency {
         self.base.gc_pause_latency()
     }
@@ -137,14 +145,19 @@ impl InsiderFtl {
     }
 
     /// Retires backup entries older than the protection window as of `now`.
-    /// Called implicitly by every write; exposed so idle periods can also
-    /// release protected space. A no-op while retirement is frozen.
+    /// Called implicitly by every write and trim; exposed so idle periods
+    /// can also release protected space. A no-op while retirement is
+    /// frozen. Records the newest retired entry's retirement instant, the
+    /// floor under the next write's GC pump.
     pub fn tick(&mut self, now: SimTime) {
         if self.frozen_at.is_some() {
             return;
         }
-        let cutoff = now.saturating_sub(self.base.config().window());
-        let retired = self.queue.retire_before(cutoff);
+        let window = self.base.config().window();
+        let retired = self.queue.retire_before(now.saturating_sub(window));
+        if let Some(newest) = retired.iter().map(|e| e.stamp).max() {
+            self.released_at = self.released_at.max(newest.saturating_add(window));
+        }
         self.base.note_retired(&retired);
         debug_assert_eq!(
             self.base.protected_pages(),
@@ -208,6 +221,7 @@ impl InsiderFtl {
         // at every step.
         let entries = self.queue.take_all();
         self.base.clear_protected();
+        self.released_at = self.released_at.max(now);
         for entry in entries.iter().rev() {
             if entry.stamp < cutoff {
                 report.ignored += 1;
@@ -329,10 +343,10 @@ impl Ftl for InsiderFtl {
         if self.read_only {
             return Err(FtlError::ReadOnly);
         }
-        self.base.set_clock(now);
         self.base.check_lba(lba)?;
         self.tick(now);
-        self.base.gc_before_write(0, Some(&mut self.queue))?;
+        self.base
+            .gc_in_idle_gap(0, Some(&mut self.queue), self.released_at, now)?;
         let old = self.base.program_mapped(lba, data, now)?;
         if let Some(old) = old {
             self.base.invalidate(old)?;
@@ -386,11 +400,14 @@ impl Ftl for InsiderFtl {
         if self.read_only {
             return Err(FtlError::ReadOnly);
         }
-        self.base.set_clock(now);
         self.base.check_extent(lba, data.len() as u32)?;
         self.tick(now);
-        self.base
-            .gc_before_write(data.len() as u64, Some(&mut self.queue))?;
+        self.base.gc_in_idle_gap(
+            data.len() as u64,
+            Some(&mut self.queue),
+            self.released_at,
+            now,
+        )?;
         // The base layer finalizes mapping, invalidation and the vectorized
         // queue append page by page, so a mid-batch NAND failure leaves the
         // programmed prefix fully recoverable.
@@ -468,7 +485,7 @@ impl Ftl for InsiderFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insider_nand::Geometry;
+    use insider_nand::{CmdRecord, FaultKind, Geometry};
 
     fn ftl() -> InsiderFtl {
         InsiderFtl::new(FtlConfig::new(Geometry::tiny()))
@@ -822,6 +839,156 @@ mod tests {
         // Empty extents stay no-ops even when read-only.
         assert_eq!(f.write_extent(Lba::new(0), &[], secs(1)), Ok(()));
         assert!(f.read_extent(Lba::new(0), 1, secs(1)).unwrap()[0].is_some());
+    }
+
+    /// Commands admitted while `op` runs, in issue order. The drive must be
+    /// built with `capture_commands(true)`; the log is drained around `op`.
+    fn commands_of(f: &mut InsiderFtl, op: impl FnOnce(&mut InsiderFtl)) -> Vec<CmdRecord> {
+        f.take_captured_commands();
+        op(f);
+        let mut log = f.take_captured_commands();
+        log.sort_by_key(|c| c.submit);
+        log
+    }
+
+    fn ns(t: SimTime) -> u64 {
+        t.as_micros() * 1000
+    }
+
+    fn is_host_program(c: &CmdRecord) -> bool {
+        c.host && c.kind == FaultKind::Program
+    }
+
+    /// Latency of one page program on an idle, empty drive.
+    fn unloaded_program_ns() -> u64 {
+        let mut f = InsiderFtl::new(FtlConfig::new(Geometry::tiny()).capture_commands(true));
+        let log = commands_of(&mut f, |f| {
+            f.write(Lba::new(0), Bytes::from_static(b"p"), secs(1))
+                .unwrap()
+        });
+        assert_eq!(log.len(), 1);
+        log[0].complete_ns - log[0].arrival_ns
+    }
+
+    /// A one-die drive (so every GC command shares the host's die) with a
+    /// 1 s protection window, filled and then overwritten once with writes
+    /// spaced wider than the window. Its free pool sits below the low
+    /// watermark, so every further write runs the GC pump. Returns the
+    /// drive and the instant of its last write.
+    fn aged_one_die() -> (InsiderFtl, SimTime) {
+        let config = FtlConfig::new(Geometry::tiny())
+            .protection_window(secs(1))
+            .capture_commands(true);
+        let mut f = InsiderFtl::new(config);
+        let mut now = SimTime::ZERO;
+        for pass in 0..2 {
+            for lba in 0..f.logical_pages() {
+                now += if pass == 0 {
+                    SimTime::from_millis(1)
+                } else {
+                    secs(2)
+                };
+                f.write(Lba::new(lba), Bytes::from_static(b"age"), now)
+                    .unwrap();
+            }
+        }
+        (f, now)
+    }
+
+    #[test]
+    fn write_after_an_idle_gap_sees_an_unloaded_program() {
+        let unloaded = unloaded_program_ns();
+        let (mut f, mut now) = aged_one_die();
+        let mut pumped = 0;
+        for i in 0..256 {
+            now += SimTime::from_millis(500);
+            let log = commands_of(&mut f, |f| {
+                f.write(Lba::new(i % 16), Bytes::from_static(b"hot"), now)
+                    .unwrap()
+            });
+            if log.iter().any(|c| !c.host) {
+                pumped += 1;
+            }
+            let program = log.iter().find(|c| is_host_program(c)).unwrap();
+            assert_eq!(program.arrival_ns, ns(now));
+            assert_eq!(
+                program.complete_ns - program.arrival_ns,
+                unloaded,
+                "write {i}: the pump's work queued ahead of the host program"
+            );
+        }
+        assert!(pumped >= 16, "only {pumped} of 256 writes ran GC work");
+    }
+
+    #[test]
+    fn zero_gap_write_pumps_no_earlier_than_the_previous_command() {
+        let unloaded = unloaded_program_ns();
+        let (mut f, mut now) = aged_one_die();
+        let mut pumped = 0;
+        for i in 0..256 {
+            now += SimTime::from_millis(200);
+            let lba = Lba::new(i % 16);
+            commands_of(&mut f, |f| {
+                f.write(lba, Bytes::from_static(b"a"), now).unwrap()
+            });
+            // Same instant: no idle gap to move the pump into.
+            let log = commands_of(&mut f, |f| {
+                f.write(lba, Bytes::from_static(b"b"), now).unwrap()
+            });
+            let gc: Vec<&CmdRecord> = log.iter().filter(|c| !c.host).collect();
+            if gc.is_empty() {
+                continue;
+            }
+            pumped += 1;
+            assert!(gc.iter().all(|c| c.arrival_ns >= ns(now)));
+            // The pump still runs ahead of the write and the write waits
+            // for it on the shared die.
+            let program = log.iter().find(|c| is_host_program(c)).unwrap();
+            assert!(gc.iter().all(|c| c.submit < program.submit));
+            assert!(program.complete_ns - program.arrival_ns > unloaded);
+        }
+        assert!(pumped >= 16, "only {pumped} of 256 writes ran GC work");
+    }
+
+    #[test]
+    fn pump_never_precedes_the_release_it_consumed() {
+        let (mut f, mut now) = aged_one_die();
+        let window = f.config().window();
+        let mut gc_commands = 0;
+        for round in 0..16 {
+            // A burst of overwrites protects their pre-images for one
+            // window.
+            for j in 0..8 {
+                now += SimTime::from_millis(1);
+                f.write(Lba::new(round * 8 + j), Bytes::from_static(b"burst"), now)
+                    .unwrap();
+            }
+            // Even rounds release the protection by retirement, at the
+            // write after the gap; odd rounds by a rollback, at its call.
+            let released = if round % 2 == 0 {
+                let retires = now + window;
+                now += secs(3);
+                retires
+            } else {
+                let rollback = now + SimTime::from_millis(500);
+                f.rollback(rollback).unwrap();
+                now = rollback + SimTime::from_millis(100);
+                rollback
+            };
+            let log = commands_of(&mut f, |f| {
+                f.write(Lba::new(200), Bytes::from_static(b"late"), now)
+                    .unwrap()
+            });
+            for c in log.iter().filter(|c| !c.host) {
+                gc_commands += 1;
+                assert!(
+                    c.arrival_ns >= ns(released),
+                    "round {round}: GC command at {} ns precedes the release at {released}",
+                    c.arrival_ns
+                );
+            }
+        }
+        assert!(gc_commands > 0, "the post-gap writes never pumped");
     }
 
     #[test]

@@ -54,9 +54,15 @@
 //!   The FTL raises the stall horizon to the drain's completion
 //!   ([`CmdScheduler::gc_horizon_ns`]); host commands submitted earlier
 //!   dispatch at the horizon while their latency anchor stays at
-//!   submission, so the stall is fully host-visible. The incremental GC
-//!   engine never raises the horizon — interleaving bounded steps between
-//!   host commands is exactly its point.
+//!   submission, so the stall is fully host-visible. The FTL runs a
+//!   write's GC in the idle gap before it: GC commands are admitted with
+//!   the clock still at the previous command (never before the
+//!   recovery-queue retirement they depend on), and only then does the
+//!   clock advance to the write. A drain that lands before the write
+//!   arrives therefore delays no host command; one that runs past it
+//!   stalls the write for the remainder. The incremental GC engine's
+//!   bounded steps never raise the horizon — interleaving them between
+//!   host commands is exactly their point.
 //!
 //! The scheduler is *timing only*: page contents, OOB records and error
 //! results are applied synchronously at submit, in submission order, so
@@ -129,6 +135,8 @@ pub struct CmdRecord {
     pub start_ns: u64,
     /// Completion (`max(die done, bus done)`), ns.
     pub complete_ns: u64,
+    /// Host-issued (`false`: admitted inside the GC context).
+    pub host: bool,
 }
 
 /// A queued-but-unfinalized command on one die.
@@ -343,6 +351,7 @@ impl CmdScheduler {
                 arrival_ns: w.submitted_ns,
                 start_ns: w.start_ns,
                 complete_ns: complete,
+                host: w.host,
             });
         }
     }
