@@ -5,17 +5,16 @@
 //! revision with `git archive` and calls this):
 //!
 //!   cargo run --release -p insider-bench --bin bench_ab -- \
-//!       --base DIR [--head DIR] [--pairs N] [--seconds S] [--workloads a,b]
+//!       --base DIR [--pairs N] [--seconds S]
 //!
-//! Builds each checkout's `e2ebench/` into its own directory under
-//! `target/bench-ab/`, then, for every workload `BENCHMARK.json` lists
-//! (or the `--workloads` subset), runs pairs with seeds 1..=N, alternating
-//! which side goes first. Prints, per end-to-end metric, both medians,
-//! both IQRs, the pairs the change won and lost (the rest tied), and the
-//! verdict of
-//! [`insider_bench::ab::compare`]. Exits 1 when any metric is worse than
-//! its bound or any run reports `correct: false`, 2 on bad arguments or a
-//! failed build or run.
+//! Run from the root of the working tree. Builds each checkout's
+//! `e2ebench/` into its own directory under `target/bench-ab/`, then, for
+//! every workload `BENCHMARK.json` lists, runs pairs with seeds 1..=N,
+//! alternating which side goes first. Prints, per end-to-end metric, both
+//! medians, both IQRs, the pairs the change won and lost (the rest tied),
+//! and the verdict of [`insider_bench::ab::compare`]. Exits 1 when any
+//! metric is worse than its bound, missing from a run, or any run reports
+//! `correct: false`; 2 on bad arguments or a failed build or run.
 
 use insider_bench::ab::{compare, number, text, MetricSpec, Verdict};
 use serde_json::Value;
@@ -27,26 +26,21 @@ const E2E_BIN: &str = "insider-e2ebench";
 
 struct Args {
     base: PathBuf,
-    head: PathBuf,
     pairs: u64,
     seconds: f64,
-    workloads: Option<Vec<String>>,
 }
 
 fn parse() -> Result<Args, String> {
     let mut args = Args {
         base: PathBuf::new(),
-        head: PathBuf::from("."),
         pairs: 10,
         seconds: 10.0,
-        workloads: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
         match flag.as_str() {
             "--base" => args.base = PathBuf::from(value),
-            "--head" => args.head = PathBuf::from(value),
             "--pairs" => {
                 args.pairs = value
                     .parse()
@@ -57,7 +51,6 @@ fn parse() -> Result<Args, String> {
             "--seconds" => {
                 args.seconds = value.parse().map_err(|_| format!("bad seconds {value}"))?
             }
-            "--workloads" => args.workloads = Some(value.split(',').map(str::to_string).collect()),
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -137,22 +130,19 @@ fn absolute(p: &Path) -> Result<PathBuf, String> {
 }
 
 fn ab(args: &Args) -> Result<bool, String> {
-    let head = absolute(&args.head)?;
+    let head = absolute(Path::new("."))?;
     let base = absolute(&args.base)?;
     let declared = std::fs::read_to_string(head.join("BENCHMARK.json"))
         .map_err(|e| format!("BENCHMARK.json: {e}"))?;
     let benchmark: Value =
         serde_json::from_str(&declared).map_err(|e| format!("BENCHMARK.json: {e}"))?;
     let specs = MetricSpec::from_benchmark(&benchmark)?;
-    let workloads: Vec<String> = match &args.workloads {
-        Some(list) => list.clone(),
-        None => match benchmark.get("workloads") {
-            Some(Value::Seq(list)) => list
-                .iter()
-                .filter_map(|w| text(w, "name").map(str::to_string))
-                .collect(),
-            _ => return Err("BENCHMARK.json has no workloads".into()),
-        },
+    let workloads: Vec<String> = match benchmark.get("workloads") {
+        Some(Value::Seq(list)) => list
+            .iter()
+            .filter_map(|w| text(w, "name").map(str::to_string))
+            .collect(),
+        _ => return Err("BENCHMARK.json has no workloads".into()),
     };
 
     let out_dir = head.join("target/bench-ab");
@@ -201,14 +191,18 @@ fn ab(args: &Args) -> Result<bool, String> {
             "verdict"
         );
         for spec in &specs {
-            let pairs: Vec<(f64, f64)> = base_runs
+            // Every declared metric applies to every workload, so a run
+            // without one is a failure, not a smaller sample.
+            let pairs: Option<Vec<(f64, f64)>> = base_runs
                 .iter()
                 .zip(&head_runs)
-                .filter_map(|(b, h)| Some((value(b, &spec.name)?, value(h, &spec.name)?)))
+                .map(|(b, h)| Some((value(b, &spec.name)?, value(h, &spec.name)?)))
                 .collect();
-            if pairs.is_empty() {
+            let Some(pairs) = pairs else {
+                ok = false;
+                println!("  {:<20} {:>14}", spec.name, "MISSING from a run");
                 continue;
-            }
+            };
             let (b, h): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
             let c = compare(spec, &b, &h);
             if c.verdict == Verdict::Worse {
@@ -241,7 +235,9 @@ fn main() -> ExitCode {
     match ab(&args) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
-            eprintln!("bench_ab: FAILED (a metric worse than its bound, or an incorrect run)");
+            eprintln!(
+                "bench_ab: FAILED (a metric worse than its bound or missing, or an incorrect run)"
+            );
             ExitCode::FAILURE
         }
         Err(e) => {

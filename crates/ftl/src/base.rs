@@ -421,38 +421,10 @@ impl FtlBase {
     /// of the host operation about to run, so queued commands from earlier
     /// operations are finalized before new ones are admitted. Reads, trims
     /// and mounts call this first; writes advance the clock through
-    /// [`gc_in_idle_gap`](Self::gc_in_idle_gap), after their GC pump.
+    /// [`gc_before_write`](Self::gc_before_write), after their GC pump.
     /// Monotone: an earlier instant leaves the clock where it is.
     pub fn set_clock(&mut self, now: SimTime) {
         self.device.set_now(now);
-    }
-
-    /// Runs a host write's GC pump ([`gc_before_write`](Self::gc_before_write))
-    /// in the idle gap before the write, then advances the clock to the
-    /// write's instant `now`.
-    ///
-    /// The pump's commands arrive while the device clock still stands at
-    /// the previous command, raised to `floor`: the newest instant at which
-    /// a recovery-queue entry the pump may rely on was released (the
-    /// conventional FTL passes [`SimTime::ZERO`]). So GC work lands on dies
-    /// that sat idle since the previous command instead of queuing ahead
-    /// of this write's pages, and no GC command precedes the retirement
-    /// that made it possible. Only the clock moves: the pump's decisions —
-    /// victims, copies, erases, OOB records — are the ones it makes at
-    /// `now`. Its one look-ahead is `pages`, the size of the write about to
-    /// arrive. A stop-the-world drain still raises the firmware stall
-    /// horizon, so a drain that runs past `now` delays the write.
-    pub fn gc_in_idle_gap(
-        &mut self,
-        pages: u64,
-        queue: Option<&mut RecoveryQueue>,
-        floor: SimTime,
-        now: SimTime,
-    ) -> Result<()> {
-        self.set_clock(floor.min(now));
-        let result = self.gc_before_write(pages, queue);
-        self.set_clock(now);
-        result
     }
 
     /// Drains the device command scheduler (see [`Ftl::sync`]).
@@ -898,20 +870,41 @@ impl FtlBase {
         result
     }
 
-    /// Chooses the GC path for a host write of `pages` upcoming programs:
-    /// the incremental engine ([`gc_maintain`](Self::gc_maintain)) when
-    /// `FtlConfig::incremental_gc` is on, the classic blocking collector
-    /// ([`gc_for_extent`](Self::gc_for_extent)) otherwise. Every host write
-    /// path funnels through here, by way of
-    /// [`gc_in_idle_gap`](Self::gc_in_idle_gap), so the two engines are
-    /// interchangeable. Commands are stamped with whatever the device clock
-    /// reads; this function never moves it.
-    pub fn gc_before_write(&mut self, pages: u64, queue: Option<&mut RecoveryQueue>) -> Result<()> {
-        if self.config.incremental_gc_enabled() {
+    /// Runs a host write's GC pump in the idle gap before the write, then
+    /// advances the clock to the write's instant `now`.
+    ///
+    /// The pump is the incremental engine ([`gc_maintain`](Self::gc_maintain))
+    /// when `FtlConfig::incremental_gc` is on, the classic blocking
+    /// collector ([`gc_for_extent`](Self::gc_for_extent)) otherwise. Every
+    /// host write path funnels through here, so the two engines are
+    /// interchangeable.
+    ///
+    /// The pump's commands arrive while the device clock still stands at
+    /// the previous command, raised to `floor`: the newest instant at which
+    /// a recovery-queue entry the pump may rely on was released (the
+    /// conventional FTL passes [`SimTime::ZERO`]). So GC work lands on dies
+    /// that sat idle since the previous command instead of queuing ahead
+    /// of this write's pages, and no GC command precedes the release that
+    /// made it possible. Only the clock moves: the pump's decisions —
+    /// victims, copies, erases, OOB records — are the ones it makes at
+    /// `now`. Its one look-ahead is `pages`, the size of the write about to
+    /// arrive. A stop-the-world drain still raises the firmware stall
+    /// horizon, so a drain that runs past `now` delays the write.
+    pub fn gc_before_write(
+        &mut self,
+        pages: u64,
+        queue: Option<&mut RecoveryQueue>,
+        floor: SimTime,
+        now: SimTime,
+    ) -> Result<()> {
+        self.set_clock(floor.min(now));
+        let result = if self.config.incremental_gc_enabled() {
             self.gc_maintain(pages, queue)
         } else {
             self.gc_for_extent(pages, queue)
-        }
+        };
+        self.set_clock(now);
+        result
     }
 
     /// Incremental background GC: instead of draining the whole free-block
@@ -2142,7 +2135,8 @@ mod tests {
     fn churn_mixed(b: &mut FtlBase, rounds: u64) -> bool {
         let mut saw_pending = false;
         for i in 0..rounds {
-            b.gc_before_write(0, None).unwrap();
+            b.gc_before_write(0, None, SimTime::ZERO, SimTime::ZERO)
+                .unwrap();
             saw_pending |= b.gc_job_pending();
             let (lba, data) = if i.is_multiple_of(2) {
                 (Lba::new(100 + i / 2 % 100), Bytes::from_static(b"cold"))
@@ -2331,7 +2325,8 @@ mod tests {
     /// Whether one `gc_before_write` of `pages` opened a reclaim job on
     /// block 0 (the victim log records selections as jobs open).
     fn collects_block_zero(b: &mut FtlBase, q: &mut RecoveryQueue, pages: u64) -> bool {
-        b.gc_before_write(pages, Some(q)).unwrap();
+        b.gc_before_write(pages, Some(q), SimTime::ZERO, SimTime::ZERO)
+            .unwrap();
         match b.gc_victims() {
             [] => false,
             [v] => {
@@ -2430,7 +2425,8 @@ mod tests {
         let mut i = 0u64;
         while !b.gc_job_pending() {
             assert!(i < 2_000, "churn never paused a job");
-            b.gc_before_write(0, None).unwrap();
+            b.gc_before_write(0, None, SimTime::ZERO, SimTime::ZERO)
+                .unwrap();
             let (lba, data) = if i.is_multiple_of(2) {
                 (Lba::new(100 + i / 2 % 100), Bytes::from_static(b"cold"))
             } else {

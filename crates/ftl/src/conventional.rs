@@ -118,7 +118,7 @@ impl ConventionalFtl {
 impl Ftl for ConventionalFtl {
     fn write(&mut self, lba: Lba, data: Bytes, now: SimTime) -> Result<()> {
         self.base.check_lba(lba)?;
-        self.base.gc_in_idle_gap(0, None, SimTime::ZERO, now)?;
+        self.base.gc_before_write(0, None, SimTime::ZERO, now)?;
         let old = self.base.program_mapped(lba, data, now)?;
         if let Some(old) = old {
             self.base.invalidate(old)?;
@@ -159,7 +159,7 @@ impl Ftl for ConventionalFtl {
         }
         self.base.check_extent(lba, data.len() as u32)?;
         self.base
-            .gc_in_idle_gap(data.len() as u64, None, SimTime::ZERO, now)?;
+            .gc_before_write(data.len() as u64, None, SimTime::ZERO, now)?;
         self.base.program_extent_mapped(lba, data, now, None)
     }
 

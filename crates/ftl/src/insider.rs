@@ -47,10 +47,16 @@ pub struct InsiderFtl {
     frozen_at: Option<SimTime>,
     /// The newest instant at which a backup entry's protection was
     /// released: `stamp + window` for a retired entry, the call time for a
-    /// rollback. A write's GC pump runs in the idle gap before the write
-    /// but never before this instant, because the pump may copy less or
-    /// erase sooner thanks to the release.
+    /// rollback, the retiring tick's own time after a thaw. A write's GC
+    /// pump runs in the idle gap before the write but never before this
+    /// instant, because the pump may copy less or erase sooner thanks to
+    /// the release.
     released_at: SimTime,
+    /// Set by [`thaw_retirement`](Self::thaw_retirement), cleared by the
+    /// next [`tick`](Self::tick). The thaw carries no time, and entries
+    /// the freeze held past `stamp + window` are released no earlier than
+    /// that tick, so it records its own `now` instead.
+    thawed: bool,
 }
 
 impl InsiderFtl {
@@ -63,6 +69,7 @@ impl InsiderFtl {
             read_only: false,
             frozen_at: None,
             released_at: SimTime::ZERO,
+            thawed: false,
         }
     }
 
@@ -148,7 +155,9 @@ impl InsiderFtl {
     /// Called implicitly by every write and trim; exposed so idle periods
     /// can also release protected space. A no-op while retirement is
     /// frozen. Records the newest retired entry's retirement instant, the
-    /// floor under the next write's GC pump.
+    /// floor under the next write's GC pump; the first tick after a thaw
+    /// records `now`, since the freeze may have held those entries past
+    /// their `stamp + window`.
     pub fn tick(&mut self, now: SimTime) {
         if self.frozen_at.is_some() {
             return;
@@ -156,8 +165,14 @@ impl InsiderFtl {
         let window = self.base.config().window();
         let retired = self.queue.retire_before(now.saturating_sub(window));
         if let Some(newest) = retired.iter().map(|e| e.stamp).max() {
-            self.released_at = self.released_at.max(newest.saturating_add(window));
+            let released = if self.thawed {
+                now
+            } else {
+                newest.saturating_add(window)
+            };
+            self.released_at = self.released_at.max(released);
         }
+        self.thawed = false;
         self.base.note_retired(&retired);
         debug_assert_eq!(
             self.base.protected_pages(),
@@ -179,7 +194,7 @@ impl InsiderFtl {
 
     /// Thaws retirement (the alarm was dismissed).
     pub fn thaw_retirement(&mut self) {
-        self.frozen_at = None;
+        self.thawed |= self.frozen_at.take().is_some();
     }
 
     /// Whether retirement is currently frozen, and since when.
@@ -346,7 +361,7 @@ impl Ftl for InsiderFtl {
         self.base.check_lba(lba)?;
         self.tick(now);
         self.base
-            .gc_in_idle_gap(0, Some(&mut self.queue), self.released_at, now)?;
+            .gc_before_write(0, Some(&mut self.queue), self.released_at, now)?;
         let old = self.base.program_mapped(lba, data, now)?;
         if let Some(old) = old {
             self.base.invalidate(old)?;
@@ -402,7 +417,7 @@ impl Ftl for InsiderFtl {
         }
         self.base.check_extent(lba, data.len() as u32)?;
         self.tick(now);
-        self.base.gc_in_idle_gap(
+        self.base.gc_before_write(
             data.len() as u64,
             Some(&mut self.queue),
             self.released_at,
@@ -954,8 +969,8 @@ mod tests {
     fn pump_never_precedes_the_release_it_consumed() {
         let (mut f, mut now) = aged_one_die();
         let window = f.config().window();
-        let mut gc_commands = 0;
-        for round in 0..16 {
+        let mut gc_commands = [0; 3];
+        for round in 0..18 {
             // A burst of overwrites protects their pre-images for one
             // window.
             for j in 0..8 {
@@ -963,24 +978,36 @@ mod tests {
                 f.write(Lba::new(round * 8 + j), Bytes::from_static(b"burst"), now)
                     .unwrap();
             }
-            // Even rounds release the protection by retirement, at the
-            // write after the gap; odd rounds by a rollback, at its call.
-            let released = if round % 2 == 0 {
-                let retires = now + window;
-                now += secs(3);
-                retires
-            } else {
-                let rollback = now + SimTime::from_millis(500);
-                f.rollback(rollback).unwrap();
-                now = rollback + SimTime::from_millis(100);
-                rollback
+            // The protection ends by retirement at the write after the
+            // gap, by a rollback at its call, or by a thaw after a freeze
+            // that held the burst past its window.
+            let case = (round % 3) as usize;
+            let released = match case {
+                0 => {
+                    let retires = now + window;
+                    now += secs(3);
+                    retires
+                }
+                1 => {
+                    let rollback = now + SimTime::from_millis(500);
+                    f.rollback(rollback).unwrap();
+                    now = rollback + SimTime::from_millis(100);
+                    rollback
+                }
+                _ => {
+                    f.freeze_retirement(now);
+                    let thaw = now + window + secs(2);
+                    f.thaw_retirement();
+                    now = thaw + SimTime::from_millis(100);
+                    thaw
+                }
             };
             let log = commands_of(&mut f, |f| {
                 f.write(Lba::new(200), Bytes::from_static(b"late"), now)
                     .unwrap()
             });
             for c in log.iter().filter(|c| !c.host) {
-                gc_commands += 1;
+                gc_commands[case] += 1;
                 assert!(
                     c.arrival_ns >= ns(released),
                     "round {round}: GC command at {} ns precedes the release at {released}",
@@ -988,7 +1015,10 @@ mod tests {
                 );
             }
         }
-        assert!(gc_commands > 0, "the post-gap writes never pumped");
+        assert!(
+            gc_commands.iter().all(|&n| n > 0),
+            "a release path never pumped: {gc_commands:?}"
+        );
     }
 
     #[test]

@@ -56,11 +56,11 @@
 //!   dispatch at the horizon while their latency anchor stays at
 //!   submission, so the stall is fully host-visible. The FTL runs a
 //!   write's GC in the idle gap before it: GC commands are admitted with
-//!   the clock still at the previous command (never before the
-//!   recovery-queue retirement they depend on), and only then does the
-//!   clock advance to the write. A drain that lands before the write
-//!   arrives therefore delays no host command; one that runs past it
-//!   stalls the write for the remainder. The incremental GC engine's
+//!   the clock still at the previous command (never before the release
+//!   of the recovery-queue protections they depend on), and only then
+//!   does the clock advance to the write. A drain that lands before the
+//!   write arrives therefore delays no host command; one that runs past
+//!   it stalls the write for the remainder. The incremental GC engine's
 //!   bounded steps never raise the horizon — interleaving them between
 //!   host commands is exactly their point.
 //!
